@@ -1,5 +1,5 @@
 # Tier-1 gate: every change must keep `make check` green.
-.PHONY: check build vet lint test bench bench-smoke bench-routing fuzz-smoke ingest-soak load-smoke
+.PHONY: check build vet lint test bench bench-check bench-smoke bench-routing fuzz-smoke ingest-soak load-smoke
 
 check: build vet lint test
 
@@ -23,6 +23,13 @@ test:
 
 bench:
 	go test -bench=. -benchmem ./...
+
+# The end-to-end benchmark (go run ./bench, see bench/README.md) is a
+# nested module outside ./..., so the targets above never compile it.
+# Vet and test it here, so a library change that breaks its imports
+# fails CI instead of the next benchmark run.
+bench-check:
+	cd bench && go vet ./... && go test ./...
 
 # One iteration of every benchmark: catches benchmarks that panic, fail
 # their setup, or silently rot, without the minutes a real run costs.

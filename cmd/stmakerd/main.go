@@ -27,23 +27,27 @@
 //	POST /admin/reload[?region=R]  trigger a live reload (only with -admin)
 //	GET  /debug/pprof/*    Go profiling handlers (only with -pprof)
 //
-// Single-region model lifecycle: -model warm-starts from a file written
-// by -save-model, skipping the initial training entirely; -save-model
-// persists the model (atomically, via temp file + rename) after every
-// successful training, initial or live. SIGHUP — or POST /admin/reload —
-// re-reads the -train corpus from disk and retrains in the background,
-// hot-swapping the new model in atomically on success; a failed rebuild
-// is logged and counted (model_reload_failures_total) while the previous
-// model keeps serving.
+// Both modes serve a region registry through one code path and differ
+// only in how the registry is built and what a reload does. SIGHUP
+// reloads every loaded region; POST /admin/reload reloads one. A reload
+// runs in the background, hot-swaps the new model in atomically on
+// success, and on failure is logged and counted
+// (region_model_load_failures_total) while the previous model keeps
+// serving.
+//
+// Single-region mode builds a registry of one. -model warm-starts from a
+// file written by -save-model, skipping the initial training entirely;
+// -save-model persists the model (atomically, via temp file + rename)
+// after every successful training, initial or live. A reload re-reads
+// the -train corpus from disk and retrains.
 //
 // Multi-region mode: -model-dir points at a directory whose
 // subdirectories each hold one region's world and trained model (plus
 // an optional region.json manifest — see docs/MULTI_REGION.md). Regions
 // load lazily on first request and are evicted least-recently-used when
 // -model-budget is exceeded; requests route by the region key in the
-// request or by the spatial index over region bounding boxes. SIGHUP
-// reloads the model file of every loaded region; POST
-// /admin/reload?region=R reloads one. -model-dir is mutually exclusive
+// request or by the spatial index over region bounding boxes. A reload
+// re-reads the region's model file. -model-dir is mutually exclusive
 // with -world/-train/-model/-save-model.
 //
 // Every request is logged as one structured line (log/slog) to stderr;
@@ -152,59 +156,108 @@ func main() {
 		}
 	}
 
-	if *modelDir != "" {
-		serveMultiRegion(logger, multiConfig{
-			dir:          *modelDir,
-			budget:       *modelBudget,
-			preload:      *preload,
-			ingest:       ingestOpts,
-			admin:        *adminOn,
-			addr:         *addr,
-			pprof:        *pprofOn,
-			maxBody:      *maxBody,
-			maxInflight:  *maxInflight,
-			batchWorkers: *batchWorkers,
-			maxBatch:     *maxBatch,
-			timeout:      *timeout,
-			drain:        *drain,
-			sanitize:     !*noSanitize,
-			hmm:          *useHMM,
-			spCache:      *spCache,
-			overlayK:     *overlayK,
-		})
-		return
+	// newSummarizer carries the pipeline flags, so every region of either
+	// mode runs the same pipeline configuration.
+	newSummarizer := func(g *roadnet.Graph, lms *landmark.Set, mx *metrics.Registry) (*stmaker.Summarizer, error) {
+		cfg := stmaker.Config{
+			Graph:            g,
+			Landmarks:        lms,
+			Metrics:          mx,
+			UseHMMMatching:   *useHMM,
+			SPCacheEntries:   *spCache,
+			OverlayLandmarks: *overlayK,
+		}
+		if !*noSanitize {
+			cfg.Sanitize = &sanitize.Options{}
+		}
+		return stmaker.New(cfg)
 	}
 
-	wf, err := os.Open(*worldPath)
+	var reg *registry.Registry
+	var err error
+	if *modelDir != "" {
+		reg, err = openModelDir(logger, *modelDir, *modelBudget, *preload, newSummarizer)
+	} else {
+		reg, err = singleRegion(logger, *worldPath, *trainPath, *modelPath, *savePath, newSummarizer)
+	}
 	if err != nil {
 		fatal(logger, err)
+	}
+
+	srv, err := server.NewMultiRegion(reg, server.Options{
+		Logger:         logger,
+		EnablePprof:    *pprofOn,
+		EnableAdmin:    *adminOn,
+		MaxBodyBytes:   *maxBody,
+		MaxInFlight:    *maxInflight,
+		BatchWorkers:   *batchWorkers,
+		MaxBatchItems:  *maxBatch,
+		RequestTimeout: *timeout,
+		Ingest:         ingestOpts,
+	})
+	if err != nil {
+		fatal(logger, err)
+	}
+	logger.Info("stmakerd listening",
+		"addr", *addr,
+		"regions", reg.Names(),
+		"budget", *modelBudget,
+		"sanitize", !*noSanitize,
+		"hmm", *useHMM,
+		"admin", *adminOn,
+		"pprof", *pprofOn,
+	)
+
+	// SIGHUP reloads every loaded region (single-flight per region,
+	// background); serving models keep answering until their replacements
+	// are published.
+	hup := make(chan os.Signal, 1)
+	signal.Notify(hup, syscall.SIGHUP)
+	defer signal.Stop(hup)
+	go func() {
+		for range hup {
+			n := reg.ReloadLoaded("sighup")
+			logger.Info("sighup region reloads started", "count", n)
+		}
+	}()
+
+	// SIGINT/SIGTERM cancels ctx; Serve then flips /readyz to 503,
+	// drains in-flight requests for up to -drain, and returns.
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	if svc := srv.Ingest(); svc != nil {
+		go svc.Run(ctx)
+		defer closeIngest(logger, svc)
+	}
+	if err := srv.ListenAndServe(ctx, *addr, server.ServeOptions{DrainTimeout: *drain}); err != nil {
+		fatal(logger, err)
+	}
+	logger.Info("stmakerd stopped")
+}
+
+// singleRegion builds the -world/-train registry of one. Its reload
+// source, retrain, is the one training path, shared by the cold-start
+// boot and every live reload: it re-reads the corpus from disk — so
+// dropping a new -train file and sending SIGHUP picks it up — trains,
+// and persists the new model when -save-model is set. A successful
+// -model warm start skips the boot training.
+func singleRegion(logger *slog.Logger, worldPath, trainPath, modelPath, savePath string, newSummarizer registry.NewSummarizerFunc) (*registry.Registry, error) {
+	wf, err := os.Open(worldPath)
+	if err != nil {
+		return nil, err
 	}
 	graph, lms, err := worldio.LoadWorld(wf)
 	wf.Close()
 	if err != nil {
-		fatal(logger, err)
+		return nil, err
 	}
-	cfg := stmaker.Config{
-		Graph:            graph,
-		Landmarks:        lms,
-		UseHMMMatching:   *useHMM,
-		SPCacheEntries:   *spCache,
-		OverlayLandmarks: *overlayK,
-	}
-	if !*noSanitize {
-		cfg.Sanitize = &sanitize.Options{}
-	}
-	s, err := stmaker.New(cfg)
+	s, err := newSummarizer(graph, lms, nil)
 	if err != nil {
-		fatal(logger, err)
+		return nil, err
 	}
 
-	// retrain is the one training path, shared by the cold-start boot and
-	// every live reload: it re-reads the corpus from disk — so dropping a
-	// new -train file and sending SIGHUP picks it up — trains, and
-	// persists the new model when -save-model is set.
 	retrain := func() error {
-		tf, err := os.Open(*trainPath)
+		tf, err := os.Open(trainPath)
 		if err != nil {
 			return err
 		}
@@ -225,30 +278,30 @@ func main() {
 			"repairs", stats.Repairs.Repairs(),
 			"transitions", stats.Transitions,
 		)
-		if *savePath != "" {
-			if err := saveModel(s, *savePath); err != nil {
+		if savePath != "" {
+			if err := saveModel(s, savePath); err != nil {
 				// The new model is already serving; a persistence failure
 				// only costs the next boot its warm start.
-				logger.Warn("model save failed, warm start unavailable", "path", *savePath, "error", err)
+				logger.Warn("model save failed, warm start unavailable", "path", savePath, "error", err)
 			} else {
-				logger.Info("model saved", "path", *savePath)
+				logger.Info("model saved", "path", savePath)
 			}
 		}
 		return nil
 	}
 
 	warm := false
-	if *modelPath != "" {
-		m, err := stmaker.LoadModelFile(*modelPath)
+	if modelPath != "" {
+		m, err := stmaker.LoadModelFile(modelPath)
 		if err == nil {
 			err = s.LoadModel(m)
 		}
 		if err != nil {
-			logger.Error("warm start failed, falling back to training", "model", *modelPath, "error", err)
+			logger.Error("warm start failed, falling back to training", "model", modelPath, "error", err)
 		} else {
 			warm = true
 			logger.Info("warm start",
-				"model", *modelPath,
+				"model", modelPath,
 				"version", m.Version(),
 				"transitions", m.NumTransitions(),
 			)
@@ -256,178 +309,41 @@ func main() {
 	}
 	if !warm {
 		if err := retrain(); err != nil {
-			fatal(logger, err)
+			return nil, err
 		}
 	}
-
-	srv, err := server.NewWithOptions(s, server.Options{
-		Logger:         logger,
-		EnablePprof:    *pprofOn,
-		EnableAdmin:    *adminOn,
-		MaxBodyBytes:   *maxBody,
-		MaxInFlight:    *maxInflight,
-		BatchWorkers:   *batchWorkers,
-		MaxBatchItems:  *maxBatch,
-		RequestTimeout: *timeout,
-		Retrain:        retrain,
-		Ingest:         ingestOpts,
-	})
-	if err != nil {
-		fatal(logger, err)
-	}
-	logger.Info("stmakerd listening",
-		"addr", *addr,
-		"model_version", s.Model().Version(),
-		"warm_start", warm,
-		"sanitize", !*noSanitize,
-		"hmm", *useHMM,
-		"admin", *adminOn,
-		"pprof", *pprofOn,
-	)
-
-	// SIGHUP triggers a live retrain (single-flight, background); the
-	// serving model keeps answering until the replacement is published.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			srv.TriggerReload("sighup")
-		}
-	}()
-
-	// SIGINT/SIGTERM cancels ctx; Serve then flips /readyz to 503,
-	// drains in-flight requests for up to -drain, and returns.
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if svc := srv.Ingest(); svc != nil {
-		go svc.Run(ctx)
-		defer closeIngest(logger, svc)
-	}
-	if err := srv.ListenAndServe(ctx, *addr, server.ServeOptions{DrainTimeout: *drain}); err != nil {
-		fatal(logger, err)
-	}
-	logger.Info("stmakerd stopped")
+	return registry.NewStatic(registry.DefaultRegionName, s, retrain, registry.Options{Logger: logger}), nil
 }
 
-// multiConfig carries the resolved flags of multi-region mode.
-type multiConfig struct {
-	dir          string
-	budget       int64
-	preload      string
-	ingest       *ingest.ServiceOptions
-	admin        bool
-	addr         string
-	pprof        bool
-	maxBody      int64
-	maxInflight  int
-	batchWorkers int
-	maxBatch     int
-	timeout      time.Duration
-	drain        time.Duration
-	sanitize     bool
-	hmm          bool
-	spCache      int
-	overlayK     int
-}
-
-// serveMultiRegion is the -model-dir serving path: discover regions,
-// preload per -preload, and serve the registry until shutdown. Every
-// region's summarizer is built with the same pipeline flags the
-// single-region mode would use.
-func serveMultiRegion(logger *slog.Logger, cfg multiConfig) {
-	reg, err := registry.Open(cfg.dir, registry.Options{
-		Logger:   logger,
-		MaxBytes: cfg.budget,
-		NewSummarizer: func(g *roadnet.Graph, lms *landmark.Set, mx *metrics.Registry) (*stmaker.Summarizer, error) {
-			scfg := stmaker.Config{
-				Graph:            g,
-				Landmarks:        lms,
-				Metrics:          mx,
-				UseHMMMatching:   cfg.hmm,
-				SPCacheEntries:   cfg.spCache,
-				OverlayLandmarks: cfg.overlayK,
-			}
-			if cfg.sanitize {
-				scfg.Sanitize = &sanitize.Options{}
-			}
-			return stmaker.New(scfg)
-		},
+// openModelDir builds the -model-dir registry: discover regions, then
+// preload per -preload. Preload proves servability before the listener
+// opens: a fleet whose every region fails to load should crash-loop
+// loudly at boot, not 404 quietly at 3am. -preload none skips the proof
+// deliberately (readyz stays 503 until the first successful lazy load).
+func openModelDir(logger *slog.Logger, dir string, budget int64, preload string, newSummarizer registry.NewSummarizerFunc) (*registry.Registry, error) {
+	reg, err := registry.Open(dir, registry.Options{
+		Logger:        logger,
+		MaxBytes:      budget,
+		NewSummarizer: newSummarizer,
 	})
 	if err != nil {
-		fatal(logger, err)
+		return nil, err
 	}
-	logger.Info("regions discovered", "dir", cfg.dir, "regions", reg.Names())
-
-	// Preload proves servability before the listener opens: a fleet whose
-	// every region fails to load should crash-loop loudly at boot, not
-	// 404 quietly at 3am. -preload none skips the proof deliberately
-	// (readyz stays 503 until the first successful lazy load).
-	switch cfg.preload {
+	logger.Info("regions discovered", "dir", dir, "regions", reg.Names())
+	switch preload {
 	case "none":
 	case "auto":
 		name, err := reg.PreloadAny()
 		if err != nil {
-			fatal(logger, fmt.Errorf("no region is loadable: %w", err))
+			return nil, fmt.Errorf("no region is loadable: %w", err)
 		}
 		logger.Info("preloaded", "region", name)
 	case "all":
-		if err := reg.Preload(reg.Names()); err != nil {
-			fatal(logger, err)
-		}
+		err = reg.Preload(reg.Names())
 	default:
-		if err := reg.Preload(strings.Split(cfg.preload, ",")); err != nil {
-			fatal(logger, err)
-		}
+		err = reg.Preload(strings.Split(preload, ","))
 	}
-
-	srv, err := server.NewMultiRegion(reg, server.Options{
-		Logger:         logger,
-		EnablePprof:    cfg.pprof,
-		EnableAdmin:    cfg.admin,
-		MaxBodyBytes:   cfg.maxBody,
-		MaxInFlight:    cfg.maxInflight,
-		BatchWorkers:   cfg.batchWorkers,
-		MaxBatchItems:  cfg.maxBatch,
-		RequestTimeout: cfg.timeout,
-		Ingest:         cfg.ingest,
-	})
-	if err != nil {
-		fatal(logger, err)
-	}
-	logger.Info("stmakerd listening",
-		"addr", cfg.addr,
-		"mode", "multi-region",
-		"regions", len(reg.Names()),
-		"budget", cfg.budget,
-		"sanitize", cfg.sanitize,
-		"hmm", cfg.hmm,
-		"admin", cfg.admin,
-		"pprof", cfg.pprof,
-	)
-
-	// SIGHUP re-reads the model file of every loaded region — the
-	// multi-region analogue of the single-region live retrain.
-	hup := make(chan os.Signal, 1)
-	signal.Notify(hup, syscall.SIGHUP)
-	defer signal.Stop(hup)
-	go func() {
-		for range hup {
-			n := reg.ReloadLoaded("sighup")
-			logger.Info("sighup region reloads started", "count", n)
-		}
-	}()
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	if svc := srv.Ingest(); svc != nil {
-		go svc.Run(ctx)
-		defer closeIngest(logger, svc)
-	}
-	if err := srv.ListenAndServe(ctx, cfg.addr, server.ServeOptions{DrainTimeout: cfg.drain}); err != nil {
-		fatal(logger, err)
-	}
-	logger.Info("stmakerd stopped")
+	return reg, err
 }
 
 // closeIngest seals every region's WAL after the listener has drained;

@@ -107,6 +107,7 @@ func (s *Summarizer) BuildIncrementalModel(acc *HistoryAccumulator) *Model {
 	// graph alone) is carried forward from the serving model; only the
 	// very first compaction after a cold start pays the build.
 	overlay := s.routingOverlay(&stats)
+	acc.featMap.Seal()
 	return &Model{
 		featureKeys:             s.featureKeys(),
 		calibrationRadiusMeters: s.cfg.CalibrationRadiusMeters,

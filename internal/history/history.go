@@ -271,6 +271,9 @@ type FeatureMap struct {
 	// dimension j on the transition; nil for numeric dimensions.
 	catCounts map[[2]int][]map[float64]int
 	n         map[[2]int]int
+	// mean is the global mean precomputed by Seal; nil before Seal and
+	// after any later Add or AddAggregate.
+	mean []float64
 }
 
 // BuildFeatureMap extracts every feature of every segment of the corpus
@@ -292,6 +295,7 @@ func BuildFeatureMap(corpus []*traj.Symbolic, reg *feature.Registry, ctx *featur
 			m.Add(seg.From.Landmark, seg.To.Landmark, v)
 		}
 	}
+	m.Seal()
 	return m
 }
 
@@ -320,6 +324,7 @@ func (m *FeatureMap) Add(a, b int, v []float64) {
 	if len(v) != m.dims {
 		return
 	}
+	m.mean = nil
 	key := [2]int{a, b}
 	s := m.sums[key]
 	if s == nil {
@@ -386,6 +391,7 @@ func (m *FeatureMap) Flattened() *FeatureMap {
 	for key := range m.n {
 		out.Add(key[0], key[1], g)
 	}
+	out.Seal()
 	return out
 }
 
@@ -462,6 +468,7 @@ func (m *FeatureMap) AddAggregate(a, b int, n int, sums []float64, cats []map[fl
 	if cats != nil && len(cats) != m.dims {
 		return fmt.Errorf("history: aggregate categorical histograms have %d dims, map has %d", len(cats), m.dims)
 	}
+	m.mean = nil
 	key := [2]int{a, b}
 	s := m.sums[key]
 	if s == nil {
@@ -521,17 +528,34 @@ func (m *FeatureMap) Clone() *FeatureMap {
 	return out
 }
 
+// Seal precomputes the global mean, so fallback lookups against a
+// published model never recompute it. Model builders call it once, after
+// the last Add or AddAggregate and before the map is shared; a later Add
+// or AddAggregate discards the precomputed value.
+func (m *FeatureMap) Seal() { m.mean = m.globalMean() }
+
 // GlobalMean returns the corpus-wide regular value of every feature — the
 // mean for numeric dimensions and the mode for categorical ones. It is
 // the substitution value for transitions the corpus never travelled, and
 // the crude baseline the ablation benches compare the per-edge map
-// against.
+// against. A sealed map returns its precomputed slice, shared by every
+// caller, so treat the result as read-only.
 func (m *FeatureMap) GlobalMean() []float64 {
+	if m.mean != nil {
+		return m.mean
+	}
+	return m.globalMean()
+}
+
+// globalMean sums the transitions in (from, to) order, so maps holding
+// the same aggregates give bit-identical means whatever order those were
+// added in.
+func (m *FeatureMap) globalMean() []float64 {
 	out := make([]float64, m.dims)
 	var total int
 	catTotals := make([]map[float64]int, m.dims)
-	for key, s := range m.sums {
-		for j, x := range s {
+	for _, key := range m.EdgesSorted() {
+		for j, x := range m.sums[key] {
 			out[j] += x
 		}
 		total += m.n[key]

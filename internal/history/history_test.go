@@ -3,6 +3,7 @@ package history
 import (
 	"fmt"
 	"math"
+	"math/rand/v2"
 	"testing"
 	"time"
 
@@ -143,6 +144,58 @@ func TestFeatureMapGlobalMean(t *testing.T) {
 		if x != 0 {
 			t.Fatal("empty global mean should be zero")
 		}
+	}
+}
+
+// TestGlobalMeanDeterministic pins the global mean to the bit: maps
+// holding the same aggregates, added in different orders, agree exactly,
+// as do repeated calls — sealed or not — so fallback lookups can never
+// make two identical requests differ in their last bits.
+func TestGlobalMeanDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	src := NewFeatureMap(3)
+	src.MarkCategorical(2)
+	for i := 0; i < 400; i++ {
+		a, b := rng.IntN(40), rng.IntN(40)
+		src.Add(a, b, []float64{rng.Float64() * 1e3, rng.NormFloat64() * 1e-3, float64(1 + rng.IntN(5))})
+	}
+	edges := src.EdgesSorted()
+	rebuild := func(order []int) *FeatureMap {
+		m := NewFeatureMap(3)
+		m.MarkCategorical(2)
+		for _, i := range order {
+			n, sums, cats, _ := src.Aggregate(edges[i][0], edges[i][1])
+			if err := m.AddAggregate(edges[i][0], edges[i][1], n, sums, cats); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return m
+	}
+	sameBits := func(what string, got, want []float64) {
+		t.Helper()
+		for j := range want {
+			if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+				t.Fatalf("%s: dim %d = %v, want %v bit for bit", what, j, got[j], want[j])
+			}
+		}
+	}
+	want := src.GlobalMean()
+	for i := 0; i < 50; i++ {
+		sameBits("repeated call", src.GlobalMean(), want)
+	}
+	for trial := 0; trial < 10; trial++ {
+		m := rebuild(rng.Perm(len(edges)))
+		sameBits("shuffled insertion", m.GlobalMean(), want)
+		m.Seal()
+		sameBits("sealed", m.GlobalMean(), want)
+	}
+
+	// A mutation after Seal discards the precomputed mean.
+	m := rebuild(rng.Perm(len(edges)))
+	m.Seal()
+	m.Add(0, 1, []float64{1e6, 0, 1})
+	if math.Float64bits(m.GlobalMean()[0]) == math.Float64bits(want[0]) {
+		t.Error("Add after Seal left the stale mean in place")
 	}
 }
 

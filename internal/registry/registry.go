@@ -103,6 +103,11 @@ var ErrNoRegions = errors.New("registry: no regions found")
 // an operator fix, so servers map it to 503 rather than 404 or 500.
 var ErrRegionUnavailable = errors.New("registry: region unavailable")
 
+// ErrNoReloadSource is returned by TriggerReload for a region with
+// nothing to reload from: a NewStatic cell built without a reload
+// source. Servers map it to 501.
+var ErrNoReloadSource = errors.New("registry: region has no reload source")
+
 // DefaultRegionName is the implicit region key used by NewStatic, i.e.
 // by single-region servers wrapping one summarizer.
 const DefaultRegionName = "default"
@@ -180,8 +185,11 @@ type cell struct {
 	bbox      *modelio.BBox
 	mx        *metrics.Registry
 
-	// pinned cells (the NewStatic wrapper) are never evicted.
+	// pinned cells (the NewStatic wrapper) are never evicted. They have
+	// no model file; source, when non-nil, rebuilds and publishes their
+	// model on reload (stmakerd retrains from its -train corpus).
 	pinned bool
+	source func() error
 
 	mu        sync.Mutex // serializes loads of this cell
 	state     atomic.Pointer[cellState]
@@ -291,11 +299,19 @@ func Open(dir string, opts Options) (*Registry, error) {
 }
 
 // NewStatic wraps one already-constructed summarizer as a single-region
-// registry under the given name (usually DefaultRegionName) — the
-// backward-compatible path for servers built around a bare -model or an
-// in-process Summarizer. The cell is pinned (never evicted) and carries
-// no byte cost; readiness tracks the summarizer's own Trained state.
-func NewStatic(name string, s *stmaker.Summarizer, opts Options) *Registry {
+// registry under the given name (usually DefaultRegionName) — the path
+// for servers built around a bare -world/-train/-model or an in-process
+// Summarizer. The cell is pinned (never evicted) and carries no byte
+// cost; readiness tracks the summarizer's own Trained state. source is
+// the cell's reload: TriggerReload runs it in the background, and it
+// must publish the new model itself (Train and LoadModel do). A nil
+// source makes TriggerReload fail with ErrNoReloadSource. A nil
+// opts.Metrics shares the summarizer's own registry as the top level, so
+// the whole instance reports one flat snapshot.
+func NewStatic(name string, s *stmaker.Summarizer, source func() error, opts Options) *Registry {
+	if opts.Metrics == nil {
+		opts.Metrics = s.Metrics()
+	}
 	opts = opts.withDefaults()
 	r := &Registry{
 		cells: make(map[string]*cell),
@@ -304,7 +320,7 @@ func NewStatic(name string, s *stmaker.Summarizer, opts Options) *Registry {
 		mx:    opts.Metrics,
 		log:   opts.Logger,
 	}
-	c := &cell{name: name, mx: s.Metrics(), pinned: true}
+	c := &cell{name: name, mx: s.Metrics(), pinned: true, source: source}
 	c.state.Store(&cellState{s: s})
 	r.cells[name] = c
 	discovered := r.mx.Counter(MetricRegionsDiscovered) //nolint:stmaker/metricnames -- regions_discovered is a gauge (set once at startup), so the _total counter suffix does not apply
@@ -368,8 +384,22 @@ func (r *Registry) DefaultRegion() string {
 // Metrics exposes the top-level (fleet-wide) registry.
 func (r *Registry) Metrics() *metrics.Registry { return r.mx }
 
+// SeparateMetrics reports whether any region records into a metrics
+// registry of its own rather than the top-level one: true for Open,
+// false for NewStatic over its summarizer's registry. Servers nest the
+// per-region snapshots in GET /metrics exactly when it is true, so no
+// region's series go unreported.
+func (r *Registry) SeparateMetrics() bool {
+	for _, c := range r.cells {
+		if c.mx != r.mx {
+			return true
+		}
+	}
+	return false
+}
+
 // RegionSnapshots returns each region's own metrics snapshot, keyed by
-// region — the "regions" map of GET /metrics in multi-region mode.
+// region — the "regions" map of GET /metrics (see SeparateMetrics).
 func (r *Registry) RegionSnapshots() map[string]metrics.Snapshot {
 	out := make(map[string]metrics.Snapshot, len(r.cells))
 	for name, c := range r.cells {
@@ -433,6 +463,12 @@ func (r *Registry) Status() []RegionStatus {
 		out = append(out, rs)
 	}
 	return out
+}
+
+// Reloading reports whether a reload of the region is in flight.
+func (r *Registry) Reloading(name string) bool {
+	c, ok := r.cells[name]
+	return ok && c.reloading.Load()
 }
 
 // Loaded reports whether the region currently holds a loaded model.
@@ -693,23 +729,24 @@ func (r *Registry) PreloadAny() (string, error) {
 	return "", errors.Join(errs...)
 }
 
-// TriggerReload starts a background reload of one region's model from
-// its model file — the multi-region analogue of the single-region
-// retrain trigger. Reloads are single-flight per region; a trigger
-// while one is running returns started=false. For a loaded region the
-// new model is hot-swapped into the serving summarizer (in-flight
-// requests on this and every other region are unaffected); a region
-// that is not currently loaded gets a plain cold load. A failed reload
-// is logged and counted in the region's region_model_load_failures_total
-// and the previous model keeps serving.
+// TriggerReload starts a background reload of one region's model — the
+// one reload mechanism behind SIGHUP and POST /admin/reload. A region
+// from Open re-reads its model file; a NewStatic region runs its reload
+// source (ErrNoReloadSource when it has none). Reloads are single-flight
+// per region; a trigger while one is running returns started=false. For
+// a loaded region the new model is hot-swapped into the serving
+// summarizer (in-flight requests on this and every other region are
+// unaffected); a region that is not currently loaded gets a plain cold
+// load. A failed reload is logged and counted in the region's
+// region_model_load_failures_total and the previous model keeps serving.
 func (r *Registry) TriggerReload(name, reason string) (started bool, err error) {
 	c, ok := r.cells[name]
 	if !ok {
 		r.mx.Counter(MetricUnknownRegionRequests).Inc()
 		return false, fmt.Errorf("%w: %q", ErrUnknownRegion, name)
 	}
-	if c.pinned {
-		return false, fmt.Errorf("registry: region %q has no model file to reload from", name)
+	if c.pinned && c.source == nil {
+		return false, fmt.Errorf("%w: %q", ErrNoReloadSource, name)
 	}
 	if !c.reloading.CompareAndSwap(false, true) {
 		r.log.Warn("region reload already in progress, trigger dropped",
@@ -728,7 +765,9 @@ func (r *Registry) TriggerReload(name, reason string) (started bool, err error) 
 		}
 		var version uint64
 		if st := c.state.Load(); st != nil {
-			version = st.s.Model().Version()
+			if m := st.s.Model(); m != nil {
+				version = m.Version()
+			}
 		}
 		r.log.Info("region reload complete",
 			"region", c.name, "reason", reason, "version", version, "duration", time.Since(t0))
@@ -736,10 +775,14 @@ func (r *Registry) TriggerReload(name, reason string) (started bool, err error) 
 	return true, nil
 }
 
-// reload re-reads the region's model file and publishes it. The slow
-// disk read happens outside all locks; the publish is the summarizer's
-// own atomic swap, so the serving path never blocks on a reload.
+// reload runs a pinned cell's source, or re-reads the region's model
+// file and publishes it. The slow work happens outside all locks; the
+// publish is the summarizer's own atomic swap, so the serving path never
+// blocks on a reload.
 func (r *Registry) reload(c *cell) error {
+	if c.pinned {
+		return c.source()
+	}
 	st := c.state.Load()
 	if st == nil {
 		_, err := r.load(c)
@@ -778,8 +821,7 @@ func (r *Registry) reload(c *cell) error {
 }
 
 // ReloadLoaded triggers a reload of every currently-loaded region — the
-// SIGHUP behaviour in multi-region mode. It returns how many reloads
-// started.
+// SIGHUP behaviour. It returns how many reloads started.
 func (r *Registry) ReloadLoaded(reason string) int {
 	n := 0
 	for _, name := range r.names {

@@ -8,6 +8,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -176,6 +177,9 @@ func TestOpenRoutesPerRegion(t *testing.T) {
 	}
 	if !r.Multi() {
 		t.Error("Multi() = false for two regions")
+	}
+	if !r.SeparateMetrics() {
+		t.Error("SeparateMetrics() = false for a -model-dir registry")
 	}
 	if r.DefaultRegion() != "" {
 		t.Errorf("DefaultRegion() = %q, want empty for two regions", r.DefaultRegion())
@@ -469,9 +473,8 @@ func TestConcurrentSummarizeAndReload(t *testing.T) {
 
 func waitForReloadIdle(t testing.TB, r *Registry, name string) {
 	t.Helper()
-	c := r.cells[name]
 	for i := 0; i < 1000; i++ {
-		if !c.reloading.Load() {
+		if !r.Reloading(name) {
 			return
 		}
 		sleepMillis(5)
@@ -487,7 +490,7 @@ func TestStaticRegistry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := NewStatic(DefaultRegionName, s, testOptions())
+	r := NewStatic(DefaultRegionName, s, nil, testOptions())
 	if r.Multi() {
 		t.Error("static registry claims Multi")
 	}
@@ -501,8 +504,61 @@ func TestStaticRegistry(t *testing.T) {
 	if err != nil || got != s {
 		t.Fatalf("Summarizer() = %v, %v; want the wrapped summarizer", got, err)
 	}
-	if _, err := r.TriggerReload(DefaultRegionName, "test"); err == nil {
-		t.Error("static cell accepted a file reload")
+	if _, err := r.TriggerReload(DefaultRegionName, "test"); !errors.Is(err, ErrNoReloadSource) {
+		t.Errorf("static cell without a source: reload err = %v, want ErrNoReloadSource", err)
+	}
+}
+
+// TestStaticReloadSource covers the SIGHUP path of a registry of one:
+// ReloadLoaded runs the cell's reload source in the background, a
+// successful source publishes a new model, and a failing one is counted
+// in the flat registry while the previous model keeps serving.
+func TestStaticReloadSource(t *testing.T) {
+	city := simulate.NewCity(simulate.CityOptions{Rows: 5, Cols: 5, Seed: 11})
+	s, err := stmaker.New(stmaker.Config{Graph: city.Graph, Landmarks: city.Landmarks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fleet := simulate.GenerateFleet(city, simulate.FleetOptions{NumTrips: 30, Seed: 12, FixedHour: -1, Calm: true})
+	corpus := make([]*traj.Raw, 0, len(fleet))
+	for _, tr := range fleet {
+		corpus = append(corpus, tr.Raw)
+	}
+	if _, err := s.Train(corpus); err != nil {
+		t.Fatal(err)
+	}
+	var fail atomic.Bool
+	r := NewStatic(DefaultRegionName, s, func() error {
+		if fail.Load() {
+			return errors.New("corpus store offline")
+		}
+		_, err := s.Train(corpus)
+		return err
+	}, Options{Logger: discardLogger()})
+	if r.SeparateMetrics() {
+		t.Error("static registry over its summarizer's metrics reports separate metrics")
+	}
+
+	v0 := s.Model().Version()
+	if n := r.ReloadLoaded("sighup"); n != 1 {
+		t.Fatalf("ReloadLoaded started %d reloads, want 1", n)
+	}
+	waitForReloadIdle(t, r, DefaultRegionName)
+	v1 := s.Model().Version()
+	if v1 <= v0 {
+		t.Fatalf("model version %d -> %d after reload, want a bump", v0, v1)
+	}
+
+	fail.Store(true)
+	if n := r.ReloadLoaded("sighup"); n != 1 {
+		t.Fatalf("ReloadLoaded started %d reloads, want 1", n)
+	}
+	waitForReloadIdle(t, r, DefaultRegionName)
+	if got := r.Metrics().Counter(MetricRegionLoadFailures).Value(); got != 1 {
+		t.Errorf("%s = %d after a failed reload, want 1", MetricRegionLoadFailures, got)
+	}
+	if v := s.Model().Version(); v != v1 {
+		t.Errorf("failed reload changed model version %d -> %d", v1, v)
 	}
 }
 

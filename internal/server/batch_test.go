@@ -185,14 +185,7 @@ func TestBatchDefaultsApply(t *testing.T) {
 // cell and metrics registry safely.
 func TestMixedTrafficUnderReload(t *testing.T) {
 	s, corpus, trip := reloadWorld(t)
-	srv, err := NewWithOptions(s, Options{
-		Logger:      DiscardLogger(),
-		EnableAdmin: true,
-		Retrain:     func() error { _, err := s.Train(corpus); return err },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := reloadServer(t, s, func() error { _, err := s.Train(corpus); return err }, Options{EnableAdmin: true})
 	v0 := s.Model().Version()
 
 	const workers, perWorker, batchSize = 6, 15, 4
@@ -237,14 +230,14 @@ func TestMixedTrafficUnderReload(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		srv.TriggerReload("test")
+		triggerReload(t, srv)
 		select {
 		case <-done:
 			close(errs)
 			for msg := range errs {
 				t.Fatalf("request failed during reload: %s", msg)
 			}
-			waitFor(t, "reload slot release", func() bool { return !srv.reloading.Load() })
+			waitFor(t, "reload slot release", reloadIdle(srv))
 			if s.Model().Version() <= v0 {
 				t.Error("no reload completed during the test")
 			}

@@ -72,6 +72,17 @@ func TestMetricsEndpointShape(t *testing.T) {
 	if snap.Counters[stmaker.MetricSummaries] == 0 {
 		t.Errorf("%s missing after successful summarize", stmaker.MetricSummaries)
 	}
+	// A registry of one over the summarizer's metrics keeps the flat
+	// shape: no regions map.
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	var shape map[string]json.RawMessage
+	if err := json.Unmarshal(rec.Body.Bytes(), &shape); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := shape["regions"]; ok {
+		t.Error("single-summarizer snapshot carries a regions map")
+	}
 
 	// POST is rejected.
 	rec = post(t, srv, "/metrics", struct{}{})
@@ -226,7 +237,7 @@ func TestPprofOptIn(t *testing.T) {
 		t.Errorf("pprof served without opt-in: status = %d", rec.Code)
 	}
 
-	on, err := NewWithOptions(srv.s, Options{Logger: DiscardLogger(), EnablePprof: true})
+	on, err := NewWithOptions(testSummarizer(t, srv), Options{Logger: DiscardLogger(), EnablePprof: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +253,7 @@ func TestPprofOptIn(t *testing.T) {
 func TestRequestLogLine(t *testing.T) {
 	srv, _ := testServer(t)
 	var buf bytes.Buffer
-	logged, err := NewWithOptions(srv.s, Options{
+	logged, err := NewWithOptions(testSummarizer(t, srv), Options{
 		Logger: slog.New(slog.NewJSONHandler(&buf, nil)),
 	})
 	if err != nil {

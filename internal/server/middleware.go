@@ -175,21 +175,23 @@ func (srv *Server) limit(next http.Handler) http.Handler {
 	})
 }
 
-// handleMetrics serves the JSON snapshot of every registered metric. In
-// single-region mode the Summarizer's stage histograms and the
-// middleware's request metrics share one registry, so the snapshot is
-// flat — the wire shape older dashboards scrape. In multi-region mode
-// the top-level counters/histograms carry the fleet-wide series
-// (request traffic, regions_loaded, ...) and a "regions" map adds each
-// region's own snapshot — its pipeline stages, model_version, load and
-// eviction counters — under its region key.
+// handleMetrics serves the JSON snapshot of every registered metric.
+// When the registry's regions record into the top-level registry (a
+// NewStatic registry of one), the Summarizer's stage histograms and the
+// middleware's request metrics share it, so the snapshot is flat — the
+// wire shape older dashboards scrape. When regions own separate
+// registries (every -model-dir registry, even of one region), the
+// top-level counters/histograms carry the fleet-wide series (request
+// traffic, regions_loaded, ...) and a "regions" map adds each region's
+// own snapshot — its pipeline stages, model_version, load and eviction
+// counters — under its region key.
 func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "GET required", http.StatusMethodNotAllowed)
 		return
 	}
 	top := srv.mx.Snapshot()
-	if !srv.reg.Multi() {
+	if !srv.reg.SeparateMetrics() {
 		srv.writeJSON(w, top)
 		return
 	}
@@ -200,8 +202,8 @@ func (srv *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// multiMetricsResponse is the GET /metrics shape in multi-region mode:
-// the flat single-region fields plus the per-region snapshots.
+// multiMetricsResponse is the GET /metrics shape over separate region
+// registries: the flat fields plus the per-region snapshots.
 type multiMetricsResponse struct {
 	Counters   map[string]int64                     `json:"counters"`
 	Histograms map[string]metrics.HistogramSnapshot `json:"histograms"`

@@ -302,7 +302,7 @@ func TestMultiRegionMetricsShape(t *testing.T) {
 		t.Fatalf("metrics = %d", rec.Code)
 	}
 	var snap struct {
-		Counters map[string]int64                      `json:"counters"`
+		Counters map[string]int64 `json:"counters"`
 		Regions  map[string]struct {
 			Counters map[string]int64 `json:"counters"`
 		} `json:"regions"`
@@ -404,5 +404,75 @@ func TestRegionReloadValidation(t *testing.T) {
 	srv.ServeHTTP(rec, req)
 	if rec.Code != http.StatusNotFound {
 		t.Errorf("reload unknown region = %d, want 404", rec.Code)
+	}
+}
+
+// oneRegionServer builds a server over a -model-dir holding a single
+// region, the case a region count cannot tell apart from a registry of
+// one.
+func oneRegionServer(t *testing.T) (*Server, testRegion) {
+	t.Helper()
+	dir := t.TempDir()
+	region, err := writeTestRegion(dir, "beijing", geo.Point{Lat: 39.80, Lng: 116.25}, 301)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(dir, registry.Options{Logger: DiscardLogger()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewMultiRegion(reg, Options{Logger: DiscardLogger(), EnableAdmin: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc := post(t, srv, "/summarize", SummarizeRequest{Trajectory: region.trip}); rc.Code != http.StatusOK {
+		t.Fatalf("summarize = %d: %s", rc.Code, rc.Body.String())
+	}
+	return srv, region
+}
+
+// TestOneRegionDirReload: on a one-region -model-dir, both a reload
+// naming the region and a bare reload re-read its model file.
+func TestOneRegionDirReload(t *testing.T) {
+	srv, region := oneRegionServer(t)
+	s, err := srv.reg.Summarizer(region.name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []string{"/admin/reload?region=" + region.name, "/admin/reload"} {
+		v0 := s.Model().Version()
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, nil))
+		if rec.Code != http.StatusAccepted {
+			t.Fatalf("POST %s = %d, body %s", path, rec.Code, rec.Body.String())
+		}
+		waitFor(t, "model version bump", func() bool { return s.Model().Version() > v0 })
+		waitFor(t, "reload slot release", func() bool { return !srv.reg.Reloading(region.name) })
+	}
+}
+
+// TestOneRegionDirMetricsShape: a one-region -model-dir keeps its
+// region's own registry, so GET /metrics must nest it under "regions"
+// rather than drop its pipeline and model series.
+func TestOneRegionDirMetricsShape(t *testing.T) {
+	srv, region := oneRegionServer(t)
+	rec := httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/metrics", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("metrics = %d", rec.Code)
+	}
+	var snap multiMetricsResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	got, ok := snap.Regions[region.name]
+	if !ok {
+		t.Fatalf("regions map lacks %q: %s", region.name, rec.Body.String())
+	}
+	if got.Histograms[stmaker.MetricStageSelect].Count == 0 {
+		t.Errorf("regions.%s lacks %s", region.name, stmaker.MetricStageSelect)
+	}
+	if got.Counters[stmaker.MetricModelVersion] == 0 {
+		t.Errorf("regions.%s lacks %s", region.name, stmaker.MetricModelVersion)
 	}
 }

@@ -3,104 +3,28 @@ package server
 import (
 	"fmt"
 	"net/http"
-	"time"
 )
-
-// Metric names for the live model-reload path. docs/OBSERVABILITY.md
-// documents each; keep the two in sync. (The model_version gauge and
-// model_swaps_total counter live in the stmaker package, where the swap
-// happens.)
-const (
-	// MetricModelBuild times each model rebuild attempt (the Options.Retrain
-	// callback), successful or not, in seconds.
-	MetricModelBuild = "model_build_seconds"
-	// MetricModelReloadFailures counts rebuild attempts that failed; the
-	// previous model keeps serving, so any non-zero value means the
-	// instance is running on stale knowledge.
-	MetricModelReloadFailures = "model_reload_failures_total"
-)
-
-// TriggerReload starts a background model rebuild via Options.Retrain and
-// returns whether one was started. Reloads are single-flight: a trigger
-// while a rebuild is already running is dropped (with a log line), since
-// queueing retrains of the same corpus only duplicates work. The rebuild
-// runs entirely off the serving path — requests keep hitting the current
-// model, and only a successful rebuild publishes a replacement. A failed
-// rebuild is logged, counted in model_reload_failures_total, and changes
-// nothing else. reason tags the log lines ("sighup", "admin", ...).
-func (srv *Server) TriggerReload(reason string) bool {
-	if srv.opts.Retrain == nil {
-		srv.logger.Warn("model reload requested but no retrain source configured", "reason", reason)
-		return false
-	}
-	if !srv.reloading.CompareAndSwap(false, true) {
-		srv.logger.Warn("model reload already in progress, trigger dropped", "reason", reason)
-		return false
-	}
-	srv.logger.Info("model reload starting", "reason", reason)
-	go func() {
-		defer srv.reloading.Store(false)
-		t0 := time.Now()
-		err := srv.opts.Retrain()
-		srv.mx.Histogram(MetricModelBuild).ObserveSince(t0)
-		if err != nil {
-			srv.mx.Counter(MetricModelReloadFailures).Inc()
-			srv.logger.Error("model reload failed, previous model keeps serving",
-				"reason", reason, "error", err, "duration", time.Since(t0))
-			return
-		}
-		var version uint64
-		if m := srv.s.Model(); m != nil {
-			version = m.Version()
-		}
-		srv.logger.Info("model reload complete",
-			"reason", reason, "version", version, "duration", time.Since(t0))
-	}()
-	return true
-}
 
 // handleReload is POST /admin/reload (mounted only with
-// Options.EnableAdmin): it triggers a background model rebuild and
-// returns immediately — 202 when one was started, 409 when one is
-// already running. In single-region mode it runs the same retrain as
-// SIGHUP (501 when the server has no retrain source); in multi-region
-// mode the mandatory ?region= parameter names the region whose model
-// file is re-read and hot-swapped (400 without it, 404 for an unknown
-// region). Requests in flight — on the named region and on every other
-// — keep serving the models they already resolved. Progress is
-// observable via model_version / model_swaps_total /
-// model_reload_failures_total (single-region) or the per-region series
-// (multi-region) on GET /metrics.
+// Options.EnableAdmin): it triggers a background reload of one region
+// through the registry — the same single-flight path SIGHUP takes — and
+// returns immediately: 202 when one was started, 409 when one is already
+// running. The region is the ?region= parameter, else the registry's
+// sole region; a multi-region server without one is a 400. Registry
+// errors map through statusForError: 404 for an unknown region, 501 for
+// a region with nothing to reload from. Requests in flight — on the named
+// region and on every other — keep serving the models they already
+// resolved. Progress is observable via the region's model_version and
+// region_model_load_failures_total on GET /metrics.
 func (srv *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if srv.reg.Multi() {
-		srv.handleRegionReload(w, r)
-		return
-	}
-	if srv.opts.Retrain == nil {
-		http.Error(w, "no retrain source configured", http.StatusNotImplemented)
-		return
-	}
-	// A region parameter on a single-region server must still make
-	// sense: anything but the one region it serves is a 404.
-	if q := r.URL.Query().Get("region"); q != "" && q != srv.reg.DefaultRegion() {
-		http.Error(w, fmt.Sprintf("unknown region %q", q), http.StatusNotFound)
-		return
-	}
-	if !srv.TriggerReload("admin") {
-		http.Error(w, "reload already in progress", http.StatusConflict)
-		return
-	}
-	w.WriteHeader(http.StatusAccepted)
-	fmt.Fprintln(w, "reload started")
-}
-
-// handleRegionReload is the multi-region arm of POST /admin/reload.
-func (srv *Server) handleRegionReload(w http.ResponseWriter, r *http.Request) {
 	region := r.URL.Query().Get("region")
+	if region == "" {
+		region = srv.reg.DefaultRegion()
+	}
 	if region == "" {
 		http.Error(w, "region parameter required on a multi-region server", http.StatusBadRequest)
 		return

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"stmaker"
+	"stmaker/internal/registry"
 	"stmaker/internal/simulate"
 	"stmaker/internal/traj"
 )
@@ -35,6 +36,35 @@ func reloadWorld(t *testing.T) (*stmaker.Summarizer, []*traj.Raw, *traj.Raw) {
 	return s, corpus, trip
 }
 
+// reloadServer builds a server over a registry of one whose reload
+// source is source — the shape stmakerd's single-region mode serves.
+func reloadServer(t *testing.T, s *stmaker.Summarizer, source func() error, opts Options) *Server {
+	t.Helper()
+	opts.Logger = DiscardLogger()
+	reg := registry.NewStatic(registry.DefaultRegionName, s, source, registry.Options{Logger: opts.Logger})
+	srv, err := NewMultiRegion(reg, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return srv
+}
+
+// triggerReload starts a reload of the sole region, as SIGHUP does, and
+// reports whether one was started.
+func triggerReload(t *testing.T, srv *Server) bool {
+	t.Helper()
+	started, err := srv.reg.TriggerReload(registry.DefaultRegionName, "test")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return started
+}
+
+// reloadIdle reports whether no reload of the sole region is in flight.
+func reloadIdle(srv *Server) func() bool {
+	return func() bool { return !srv.reg.Reloading(registry.DefaultRegionName) }
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(10 * time.Second)
@@ -49,14 +79,7 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestAdminReloadEndpoint(t *testing.T) {
 	s, corpus, _ := reloadWorld(t)
-	srv, err := NewWithOptions(s, Options{
-		Logger:      DiscardLogger(),
-		EnableAdmin: true,
-		Retrain:     func() error { _, err := s.Train(corpus); return err },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := reloadServer(t, s, func() error { _, err := s.Train(corpus); return err }, Options{EnableAdmin: true})
 	v0 := s.Model().Version()
 
 	rec := httptest.NewRecorder()
@@ -71,17 +94,28 @@ func TestAdminReloadEndpoint(t *testing.T) {
 		t.Fatalf("POST /admin/reload = %d, body %s", rec.Code, rec.Body.String())
 	}
 	waitFor(t, "model version bump", func() bool { return s.Model().Version() > v0 })
+	waitFor(t, "reload slot release", reloadIdle(srv))
+
+	// Naming the sole region explicitly is the same reload.
+	v1 := s.Model().Version()
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/reload?region="+registry.DefaultRegionName, nil))
+	if rec.Code != http.StatusAccepted {
+		t.Fatalf("POST /admin/reload?region=%s = %d, body %s", registry.DefaultRegionName, rec.Code, rec.Body.String())
+	}
+	waitFor(t, "model version bump", func() bool { return s.Model().Version() > v1 })
+	waitFor(t, "reload slot release", reloadIdle(srv))
+
+	rec = httptest.NewRecorder()
+	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/reload?region=atlantis", nil))
+	if rec.Code != http.StatusNotFound {
+		t.Errorf("POST /admin/reload?region=atlantis = %d, want 404", rec.Code)
+	}
 }
 
 func TestAdminReloadNotMountedByDefault(t *testing.T) {
 	s, corpus, _ := reloadWorld(t)
-	srv, err := NewWithOptions(s, Options{
-		Logger:  DiscardLogger(),
-		Retrain: func() error { _, err := s.Train(corpus); return err },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := reloadServer(t, s, func() error { _, err := s.Train(corpus); return err }, Options{})
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/reload", nil))
 	if rec.Code != http.StatusNotFound {
@@ -95,8 +129,8 @@ func TestAdminReloadWithoutRetrainSource(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if srv.TriggerReload("test") {
-		t.Error("TriggerReload without a retrain source reported a start")
+	if started, err := srv.reg.TriggerReload(registry.DefaultRegionName, "test"); started || !errors.Is(err, registry.ErrNoReloadSource) {
+		t.Errorf("TriggerReload without a reload source = %v, %v; want ErrNoReloadSource", started, err)
 	}
 	rec := httptest.NewRecorder()
 	srv.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/admin/reload", nil))
@@ -113,23 +147,16 @@ func TestReloadSingleFlight(t *testing.T) {
 	block := make(chan struct{})
 	started := make(chan struct{})
 	var once sync.Once
-	srv, err := NewWithOptions(s, Options{
-		Logger:      DiscardLogger(),
-		EnableAdmin: true,
-		Retrain: func() error {
-			once.Do(func() { close(started) })
-			<-block
-			return nil
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !srv.TriggerReload("test") {
+	srv := reloadServer(t, s, func() error {
+		once.Do(func() { close(started) })
+		<-block
+		return nil
+	}, Options{EnableAdmin: true})
+	if !triggerReload(t, srv) {
 		t.Fatal("first trigger did not start a reload")
 	}
 	<-started
-	if srv.TriggerReload("test") {
+	if triggerReload(t, srv) {
 		t.Error("second trigger started a concurrent reload")
 	}
 	rec := httptest.NewRecorder()
@@ -138,7 +165,7 @@ func TestReloadSingleFlight(t *testing.T) {
 		t.Errorf("POST /admin/reload during reload = %d, want 409", rec.Code)
 	}
 	close(block)
-	waitFor(t, "reload slot release", func() bool { return !srv.reloading.Load() })
+	waitFor(t, "reload slot release", reloadIdle(srv))
 }
 
 // TestReloadFailureKeepsServing pins the failure contract: a rebuild
@@ -146,19 +173,12 @@ func TestReloadSingleFlight(t *testing.T) {
 // version unchanged.
 func TestReloadFailureKeepsServing(t *testing.T) {
 	s, _, trip := reloadWorld(t)
-	srv, err := NewWithOptions(s, Options{
-		Logger:      DiscardLogger(),
-		EnableAdmin: true,
-		Retrain:     func() error { return errors.New("corpus store offline") },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := reloadServer(t, s, func() error { return errors.New("corpus store offline") }, Options{EnableAdmin: true})
 	v0 := s.Model().Version()
-	if !srv.TriggerReload("test") {
+	if !triggerReload(t, srv) {
 		t.Fatal("trigger did not start a reload")
 	}
-	failures := srv.Metrics().Counter(MetricModelReloadFailures)
+	failures := srv.Metrics().Counter(registry.MetricRegionLoadFailures)
 	waitFor(t, "failure counted", func() bool { return failures.Value() == 1 })
 	if v := s.Model().Version(); v != v0 {
 		t.Errorf("failed reload changed model version %d -> %d", v0, v)
@@ -174,14 +194,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 // a single request may fail or observe a partially-swapped model.
 func TestReloadUnderConcurrentLoad(t *testing.T) {
 	s, corpus, trip := reloadWorld(t)
-	srv, err := NewWithOptions(s, Options{
-		Logger:      DiscardLogger(),
-		EnableAdmin: true,
-		Retrain:     func() error { _, err := s.Train(corpus); return err },
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	srv := reloadServer(t, s, func() error { _, err := s.Train(corpus); return err }, Options{EnableAdmin: true})
 	v0 := s.Model().Version()
 
 	const workers, perWorker = 8, 25
@@ -203,14 +216,14 @@ func TestReloadUnderConcurrentLoad(t *testing.T) {
 	done := make(chan struct{})
 	go func() { wg.Wait(); close(done) }()
 	for {
-		srv.TriggerReload("test")
+		triggerReload(t, srv)
 		select {
 		case <-done:
 			close(errs)
 			for msg := range errs {
 				t.Fatalf("request failed during reload: %s", msg)
 			}
-			waitFor(t, "reload slot release", func() bool { return !srv.reloading.Load() })
+			waitFor(t, "reload slot release", reloadIdle(srv))
 			if s.Model().Version() <= v0 {
 				t.Error("no reload completed during the test")
 			}

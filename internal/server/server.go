@@ -46,13 +46,9 @@ import (
 const DefaultMaxBodyBytes int64 = 4 << 20
 
 // Server handles summarization requests against a region registry — a
-// single wrapped Summarizer in the classic single-region mode, or N
-// lazily-loaded regional models in multi-region (-model-dir) mode. It
-// is safe for concurrent use.
+// registry of one wrapping a single Summarizer, or N lazily-loaded
+// regional models from a -model-dir. It is safe for concurrent use.
 type Server struct {
-	// s is the wrapped summarizer in single-region mode; nil in
-	// multi-region mode, where every summarizer comes from reg.
-	s   *stmaker.Summarizer
 	reg *registry.Registry
 
 	mux     *http.ServeMux
@@ -65,8 +61,6 @@ type Server struct {
 	// drain begins so load balancers stop routing here. Readiness also
 	// requires a published model — see handleReady.
 	ready atomic.Bool
-	// reloading makes model reloads single-flight (see TriggerReload).
-	reloading atomic.Bool
 	// ingest is the streaming-ingestion service (nil unless
 	// Options.Ingest was set).
 	ingest *ingest.Service
@@ -114,15 +108,8 @@ type Options struct {
 	// deadline between stages and the request fails with 504 when it
 	// expires. 0 means no deadline.
 	RequestTimeout time.Duration
-	// Retrain, when non-nil, rebuilds the summarizer's model from its
-	// training source (cmd/stmakerd passes a closure over its corpus,
-	// retraining and optionally re-saving the model file). It runs in a
-	// background goroutine via TriggerReload — on SIGHUP or
-	// POST /admin/reload — and must publish the new model itself (Train
-	// does); an error leaves the serving model untouched.
-	Retrain func() error
 	// EnableAdmin mounts the mutating operational endpoints (currently
-	// POST /admin/reload). Off by default: model reloads cost a full
+	// POST /admin/reload). Off by default: a reload can cost a full
 	// retrain, so the endpoint is opt-in (the -admin flag of
 	// cmd/stmakerd) and meant to stay behind the operator's network
 	// boundary.
@@ -169,34 +156,25 @@ func NewWithOptions(s *stmaker.Summarizer, opts Options) (*Server, error) {
 	if s == nil {
 		return nil, fmt.Errorf("server: summarizer is required")
 	}
-	opts = opts.withDefaults()
-	// The summarizer is wrapped as a pinned single-cell registry under
-	// the implicit default region, so the serving path is the same in
-	// both modes and a bare -model deployment stays fully supported.
-	reg := registry.NewStatic(registry.DefaultRegionName, s, registry.Options{
-		Logger:  opts.Logger,
-		Metrics: s.Metrics(),
-	})
-	return newServer(s, reg, opts)
+	// The summarizer is wrapped as a pinned registry of one under the
+	// implicit default region, with no reload source: POST /admin/reload
+	// answers 501. Embedders that want reloads build the registry with
+	// registry.NewStatic and a source, then call NewMultiRegion.
+	reg := registry.NewStatic(registry.DefaultRegionName, s, nil, registry.Options{Logger: opts.Logger})
+	return NewMultiRegion(reg, opts)
 }
 
-// NewMultiRegion builds a server over a multi-region registry (see
+// NewMultiRegion builds a server over a region registry (see
 // internal/registry and docs/MULTI_REGION.md): requests route to a
-// region by explicit key or by the spatial index over region bounding
-// boxes, models load lazily, and POST /admin/reload takes a ?region=
-// parameter. Options.Retrain is ignored in this mode — reloads re-read
-// each region's model file instead of retraining.
+// region by explicit key, by the sole region, or by the spatial index
+// over region bounding boxes, and POST /admin/reload triggers the
+// registry's reload of one region.
 func NewMultiRegion(reg *registry.Registry, opts Options) (*Server, error) {
 	if reg == nil {
 		return nil, fmt.Errorf("server: registry is required")
 	}
 	opts = opts.withDefaults()
-	return newServer(nil, reg, opts)
-}
-
-func newServer(s *stmaker.Summarizer, reg *registry.Registry, opts Options) (*Server, error) {
 	srv := &Server{
-		s:      s,
 		reg:    reg,
 		mux:    http.NewServeMux(),
 		mx:     reg.Metrics(),
@@ -377,7 +355,8 @@ type ReadyResponse struct {
 // cacheable and do not trip 5xx alerting). A model file that exists but
 // is corrupt or mismatched is a 500 (the deployment is broken, not the
 // request), and any other load failure — an unreadable world file, say
-// — is a 503, since a retry after an operator fix will succeed.
+// — is a 503, since a retry after an operator fix will succeed. A reload
+// of a region with nothing to reload from is a 501.
 func statusForError(err error) int {
 	switch {
 	case errors.Is(err, context.DeadlineExceeded), errors.Is(err, context.Canceled):
@@ -392,6 +371,8 @@ func statusForError(err error) int {
 		return http.StatusInternalServerError
 	case errors.Is(err, registry.ErrRegionUnavailable):
 		return http.StatusServiceUnavailable
+	case errors.Is(err, registry.ErrNoReloadSource):
+		return http.StatusNotImplemented
 	default:
 		return http.StatusInternalServerError
 	}

@@ -10,6 +10,7 @@ import (
 
 	"stmaker"
 	"stmaker/internal/hits"
+	"stmaker/internal/registry"
 	"stmaker/internal/simulate"
 	"stmaker/internal/traj"
 )
@@ -52,6 +53,16 @@ func testServer(t testing.TB) (*Server, *traj.Raw) {
 		t.Fatal(setupErr)
 	}
 	return srv, testTrip
+}
+
+// testSummarizer returns the summarizer a single-region server wraps.
+func testSummarizer(t *testing.T, srv *Server) *stmaker.Summarizer {
+	t.Helper()
+	s, err := srv.reg.Summarizer(registry.DefaultRegionName)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s
 }
 
 func post(t *testing.T, srv *Server, path string, body interface{}) *httptest.ResponseRecorder {

@@ -181,6 +181,7 @@ func ReadModelFrom(r io.Reader) (*Model, error) {
 			return nil, fmt.Errorf("%w: %v", ErrInvalidModel, err)
 		}
 	}
+	featMap.Seal()
 	stats := TrainStats{
 		Calibrated:  data.Stats.Calibrated,
 		Skipped:     data.Stats.Skipped,

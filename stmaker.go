@@ -94,9 +94,7 @@ const (
 
 	// MetricModelBuild times model-assembly work that happens inside
 	// Train beyond corpus aggregation — today the ALT routing-overlay
-	// precomputation (see Config.OverlayLandmarks). The serving reload
-	// path observes its whole rebuild into the same histogram name in the
-	// server registry, so one dashboard panel covers both.
+	// precomputation (see Config.OverlayLandmarks).
 	MetricModelBuild = "model_build_seconds"
 	// MetricModelVersion is a gauge holding the currently-served model's
 	// version (see Model.Version); 0 until the first publish.

@@ -45,7 +45,7 @@ bench-smoke:
 bench-routing:
 	go test -run='^$$' -bench='ShortestPath|HMMMatch|TrainOverlay' -benchmem -count=5 ./internal/roadnet/
 
-# Short randomized smoke of the fuzz targets (~30s total): enough to
+# Short randomized smoke of the fuzz targets (15s each): enough to
 # catch shallow regressions on every CI run without a dedicated fuzz
 # farm. Run with a larger -fuzztime locally when touching the decoders.
 fuzz-smoke:
@@ -55,6 +55,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=15s ./internal/modelio
 	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=15s ./internal/ingest
 	go test -run='^$$' -fuzz=FuzzIngestNDJSON -fuzztime=15s ./internal/server
+	go test -run='^$$' -fuzz=FuzzALTEquivalence -fuzztime=15s ./internal/roadnet
 
 # Short sustained-load smoke: drives a synthetic fleet through the real
 # HTTP serving path (single + batch endpoints mixed) and fails on any

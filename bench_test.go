@@ -9,6 +9,7 @@ package stmaker_test
 import (
 	"bytes"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -420,16 +421,21 @@ func BenchmarkCalibrate(b *testing.B) {
 	}
 }
 
-// benchTrain times training over the benchmark corpus with the given
-// worker count (0 = GOMAXPROCS, the default; 1 = serial baseline).
-func benchTrain(b *testing.B, workers int) {
+// benchTrain times training over the benchmark corpus with Train's
+// calibration pool sized by GOMAXPROCS: procs > 0 sets it for the run
+// (1 = serial baseline) and restores it afterwards, 0 keeps the
+// process default.
+func benchTrain(b *testing.B, procs int) {
+	if procs > 0 {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+	}
 	w := world(b)
 	corpus := make([]*traj.Raw, 0, len(w.Train))
 	for _, tr := range w.Train {
 		corpus = append(corpus, tr.Raw)
 	}
 	s, err := stmaker.New(stmaker.Config{
-		Graph: w.City.Graph, Landmarks: w.City.Landmarks, TrainWorkers: workers,
+		Graph: w.City.Graph, Landmarks: w.City.Landmarks,
 	})
 	if err != nil {
 		b.Fatal(err)

@@ -10,7 +10,7 @@
 //	stmakerd -world world.json -train train.json [-addr :8080] [-pprof]
 //	         [-model model.stm] [-save-model model.stm] [-admin]
 //	         [-log text|json] [-max-body N] [-max-inflight N]
-//	         [-timeout D] [-drain D] [-no-sanitize] [-hmm] [-sp-cache N]
+//	         [-timeout D] [-drain D] [-no-sanitize] [-hmm]
 //	         [-ingest-dir wal/ [-ingest-buffer N] [-ingest-compact D]]
 //
 //	stmakerd -model-dir models/ [-model-budget N] [-preload auto|none|all|r1,r2]
@@ -49,6 +49,12 @@
 // request or by the spatial index over region bounding boxes. A reload
 // re-reads the region's model file. -model-dir is mutually exclusive
 // with -world/-train/-model/-save-model.
+//
+// -hmm switches routing features from greedy to HMM (Viterbi) map
+// matching. Shortest paths feed only that matcher, so only -hmm
+// summarizers carry a shortest-path cache and precompute the ALT routing
+// overlay when they first train; greedy training publishes and saves
+// models without one.
 //
 // Every request is logged as one structured line (log/slog) to stderr;
 // -log json switches the log format for machine ingestion. Metric names
@@ -91,17 +97,14 @@ func main() {
 		maxBody     = flag.Int64("max-body", server.DefaultMaxBodyBytes, "max request body bytes (413 beyond; <0 disables); the batch endpoint allows 16x")
 		maxInflight = flag.Int("max-inflight", 256, "max concurrently-handled requests (503 beyond; 0 disables)")
 
-		batchWorkers = flag.Int("batch-workers", 0, "worker pool size per POST /summarize/batch request (0 = GOMAXPROCS)")
-		maxBatch     = flag.Int("max-batch", server.DefaultMaxBatchItems, "max items per batch request (413 beyond; <0 disables)")
-		timeout      = flag.Duration("timeout", 30*time.Second, "per-request pipeline deadline (504 beyond; 0 disables)")
-		drain        = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		noSanitize   = flag.Bool("no-sanitize", false, "disable input repair (sanitization) before calibration")
-		useHMM       = flag.Bool("hmm", false, "use HMM (Viterbi) map matching for routing features")
-		spCache      = flag.Int("sp-cache", 0, "shortest-path cache entries for HMM matching (0 default, <0 disables)")
-		overlayK     = flag.Int("overlay-landmarks", 0, "ALT routing-overlay landmarks precomputed at train time (0 default, <0 disables)")
-		modelDir     = flag.String("model-dir", "", "serve every region under this directory (multi-region mode)")
-		modelBudget  = flag.Int64("model-budget", 0, "memory budget in bytes for loaded region models (LRU eviction beyond; 0 unlimited)")
-		preload      = flag.String("preload", "auto", "regions to load at boot: auto (first loadable), none, all, or a comma-separated list")
+		maxBatch    = flag.Int("max-batch", server.DefaultMaxBatchItems, "max items per batch request (413 beyond; <0 disables)")
+		timeout     = flag.Duration("timeout", 30*time.Second, "per-request pipeline deadline (504 beyond; 0 disables)")
+		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
+		noSanitize  = flag.Bool("no-sanitize", false, "disable input repair (sanitization) before calibration")
+		useHMM      = flag.Bool("hmm", false, "use HMM (Viterbi) map matching for routing features")
+		modelDir    = flag.String("model-dir", "", "serve every region under this directory (multi-region mode)")
+		modelBudget = flag.Int64("model-budget", 0, "memory budget in bytes for loaded region models (LRU eviction beyond; 0 unlimited)")
+		preload     = flag.String("preload", "auto", "regions to load at boot: auto (first loadable), none, all, or a comma-separated list")
 
 		ingestDir     = flag.String("ingest-dir", "", "enable POST /ingest: per-region WAL directory for crash-safe streaming ingestion")
 		ingestBuffer  = flag.Int("ingest-buffer", 0, "max buffered open-trip fixes per region before ingest sheds with 429 (0 default)")
@@ -160,12 +163,10 @@ func main() {
 	// mode runs the same pipeline configuration.
 	newSummarizer := func(g *roadnet.Graph, lms *landmark.Set, mx *metrics.Registry) (*stmaker.Summarizer, error) {
 		cfg := stmaker.Config{
-			Graph:            g,
-			Landmarks:        lms,
-			Metrics:          mx,
-			UseHMMMatching:   *useHMM,
-			SPCacheEntries:   *spCache,
-			OverlayLandmarks: *overlayK,
+			Graph:          g,
+			Landmarks:      lms,
+			Metrics:        mx,
+			UseHMMMatching: *useHMM,
 		}
 		if !*noSanitize {
 			cfg.Sanitize = &sanitize.Options{}
@@ -190,7 +191,6 @@ func main() {
 		EnableAdmin:    *adminOn,
 		MaxBodyBytes:   *maxBody,
 		MaxInFlight:    *maxInflight,
-		BatchWorkers:   *batchWorkers,
 		MaxBatchItems:  *maxBatch,
 		RequestTimeout: *timeout,
 		Ingest:         ingestOpts,

@@ -103,9 +103,10 @@ func (s *Summarizer) BuildIncrementalModel(acc *HistoryAccumulator) *Model {
 		Calibrated:  acc.trips,
 		Transitions: acc.featMap.NumEdges(),
 	}
-	// Compactions run continuously, so the overlay (a function of the
-	// graph alone) is carried forward from the serving model; only the
-	// very first compaction after a cold start pays the build.
+	// Compactions run continuously, so an HMM summarizer's overlay (a
+	// function of the graph alone) is carried forward from the serving
+	// model; only its very first compaction after a cold start pays the
+	// build. A greedy summarizer's models carry none.
 	overlay := s.routingOverlay(&stats)
 	acc.featMap.Seal()
 	return &Model{

@@ -546,7 +546,7 @@ func (ing *Ingester) removeStaleModels(keep string) {
 // updateWALGaugeLocked refreshes the WAL-size gauge; callers hold mu (or
 // have exclusive ownership during recovery).
 func (ing *Ingester) updateWALGaugeLocked() {
-	ing.gWALBytes.Add(ing.wal.Bytes() - ing.gWALBytes.Value())
+	ing.gWALBytes.Set(ing.wal.Bytes())
 }
 
 // Stats snapshots the ingester for tests and probes.

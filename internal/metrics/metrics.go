@@ -23,7 +23,7 @@ import (
 
 // Counter is a monotonically-growing (or explicitly adjusted) integer
 // metric. The zero value is ready to use. In-flight gauges are counters
-// adjusted with Add(±1).
+// adjusted with Add(±1); level gauges are counters written with Set.
 type Counter struct {
 	v atomic.Int64
 }
@@ -33,6 +33,10 @@ func (c *Counter) Inc() { c.v.Add(1) }
 
 // Add adds n (which may be negative, for gauge-style usage).
 func (c *Counter) Add(n int64) { c.v.Add(n) }
+
+// Set overwrites the value in one atomic store, for gauges that track a
+// level (a model version, a byte total) rather than count events.
+func (c *Counter) Set(n int64) { c.v.Store(n) }
 
 // Value returns the current count.
 func (c *Counter) Value() int64 { return c.v.Load() }

@@ -18,6 +18,25 @@ func TestCounter(t *testing.T) {
 	}
 }
 
+// TestCounterSet pins gauge semantics: Set overwrites whatever the
+// counter held, in either direction, and later Adds build on it.
+func TestCounterSet(t *testing.T) {
+	var c Counter
+	c.Add(7)
+	c.Set(42)
+	if got := c.Value(); got != 42 {
+		t.Fatalf("Value after Set(42) = %d, want 42", got)
+	}
+	c.Set(0)
+	if got := c.Value(); got != 0 {
+		t.Fatalf("Value after Set(0) = %d, want 0", got)
+	}
+	c.Inc()
+	if got := c.Value(); got != 1 {
+		t.Fatalf("Value after Set(0)+Inc = %d, want 1", got)
+	}
+}
+
 func TestHistogramSnapshotStats(t *testing.T) {
 	h := NewHistogram(nil)
 	for _, v := range []float64{0.001, 0.002, 0.004, 0.100} {

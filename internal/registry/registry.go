@@ -367,8 +367,11 @@ func (r *Registry) buildSpatialIndex() {
 // Names returns the sorted region keys.
 func (r *Registry) Names() []string { return append([]string(nil), r.names...) }
 
-// Multi reports whether the registry holds more than one region.
-func (r *Registry) Multi() bool { return len(r.cells) > 1 }
+// Static reports whether the registry wraps an in-process summarizer
+// (NewStatic) rather than regions discovered under a model directory
+// (Open). It depends on how the registry was built, never on how many
+// regions it holds: a one-region Open registry is not Static.
+func (r *Registry) Static() bool { return r.cells[r.names[0]].pinned }
 
 // DefaultRegion returns the implicit region for requests that carry no
 // region key: the sole region when there is exactly one, "" otherwise —
@@ -544,6 +547,7 @@ func (r *Registry) load(c *cell) (*stmaker.Summarizer, error) {
 	r.budgetMu.Lock()
 	c.state.Store(st)
 	r.loadedBytes += st.bytes
+	c.setOverlayGaugeLocked(st.s.Model())
 	r.accountLoadedLocked()
 	if max := r.opts.MaxBytes; max > 0 && st.bytes > max {
 		r.log.Warn("region alone exceeds the memory budget; loading anyway",
@@ -634,24 +638,29 @@ func (r *Registry) loadFromDisk(c *cell) (*cellState, error) {
 	if mi, err := os.Stat(c.modelFile); err == nil {
 		bytes += mi.Size()
 	}
-	bytes += c.overlayBytes(m)
+	bytes += overlayBytes(m)
 	return &cellState{s: s, bytes: bytes}, nil
 }
 
-// overlayBytes charges the model's precomputed routing overlay at its
-// resident table size and refreshes the region's region_overlay_bytes
-// gauge. The dense tables dominate a loaded model's memory beyond what
-// the on-disk file sizes already approximate, so they are accounted
+// overlayBytes is the resident table size of the model's precomputed
+// routing overlay, 0 when there is no model or it carries no overlay.
+// The dense tables dominate a loaded model's memory beyond what the
+// on-disk file sizes already approximate, so they are charged
 // explicitly — a budget that ignored them would under-evict exactly the
 // regions carrying the most precomputation.
-func (c *cell) overlayBytes(m *stmaker.Model) int64 {
-	var ob int64
-	if o := m.RoutingOverlay(); o != nil {
-		ob = o.MemoryBytes()
+func overlayBytes(m *stmaker.Model) int64 {
+	if m == nil || m.RoutingOverlay() == nil {
+		return 0
 	}
-	g := c.mx.Counter(MetricRegionOverlayBytes) //nolint:stmaker/metricnames -- region_overlay_bytes is a gauge (set to the serving overlay's resident size), so the _total counter suffix does not apply
-	g.Add(ob - g.Value())
-	return ob
+	return m.RoutingOverlay().MemoryBytes()
+}
+
+// setOverlayGaugeLocked points the region's region_overlay_bytes gauge at
+// the serving model's overlay, or at 0 when m is nil (evicted). Callers
+// hold budgetMu and set it together with the cell state, so a racing
+// eviction cannot leave the gauge charging a region that is not loaded.
+func (c *cell) setOverlayGaugeLocked(m *stmaker.Model) {
+	c.mx.Counter(MetricRegionOverlayBytes).Set(overlayBytes(m)) //nolint:stmaker/metricnames -- region_overlay_bytes is a gauge (set to the serving overlay's resident size), so the _total counter suffix does not apply
 }
 
 // evictLocked evicts least-recently-used unpinned regions (never the
@@ -680,8 +689,7 @@ func (r *Registry) evictLocked(keep *cell) {
 		st := victim.state.Swap(nil)
 		r.loadedBytes -= st.bytes
 		victim.mx.Counter(MetricRegionEvictions).Inc()
-		og := victim.mx.Counter(MetricRegionOverlayBytes) //nolint:stmaker/metricnames -- region_overlay_bytes is a gauge (zeroed on eviction), so the _total counter suffix does not apply
-		og.Add(-og.Value())
+		victim.setOverlayGaugeLocked(nil)
 		r.accountLoadedLocked()
 		r.log.Info("region evicted",
 			"region", victim.name, "bytes", st.bytes, "loaded_bytes", r.loadedBytes)
@@ -696,10 +704,8 @@ func (r *Registry) accountLoadedLocked() {
 			loaded++
 		}
 	}
-	g := r.mx.Counter(MetricRegionsLoaded) //nolint:stmaker/metricnames -- regions_loaded is a gauge (set to the loaded-region count), so the _total counter suffix does not apply
-	g.Add(loaded - g.Value())
-	gb := r.mx.Counter(MetricRegionsLoadedBytes) //nolint:stmaker/metricnames -- regions_loaded_bytes is a gauge (set to the loaded byte total), so the _total counter suffix does not apply
-	gb.Add(r.loadedBytes - gb.Value())
+	r.mx.Counter(MetricRegionsLoaded).Set(loaded)             //nolint:stmaker/metricnames -- regions_loaded is a gauge (set to the loaded-region count), so the _total counter suffix does not apply
+	r.mx.Counter(MetricRegionsLoadedBytes).Set(r.loadedBytes) //nolint:stmaker/metricnames -- regions_loaded_bytes is a gauge (set to the loaded byte total), so the _total counter suffix does not apply
 }
 
 // Preload loads the named regions eagerly, so readiness does not wait
@@ -800,12 +806,11 @@ func (r *Registry) reload(c *cell) error {
 	// files and re-charge the overlay so the budget tracks reality. A
 	// stat failure keeps the old cost (the overlay gauge still reflects
 	// the new model).
-	ob := c.overlayBytes(m)
 	newBytes := st.bytes
 	wi, werr := os.Stat(c.worldFile)
 	mi, merr := os.Stat(c.modelFile)
 	if werr == nil && merr == nil {
-		newBytes = wi.Size() + mi.Size() + ob
+		newBytes = wi.Size() + mi.Size() + overlayBytes(m)
 	}
 	r.budgetMu.Lock()
 	// Skip the re-accounting if the cell was evicted (or re-loaded)
@@ -813,6 +818,7 @@ func (r *Registry) reload(c *cell) error {
 	if c.state.Load() == st {
 		c.state.Store(&cellState{s: st.s, bytes: newBytes})
 		r.loadedBytes += newBytes - st.bytes
+		c.setOverlayGaugeLocked(m)
 		r.accountLoadedLocked()
 		r.evictLocked(c)
 	}

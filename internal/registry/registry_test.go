@@ -15,7 +15,10 @@ import (
 	"stmaker"
 	"stmaker/internal/geo"
 	"stmaker/internal/hits"
+	"stmaker/internal/landmark"
 	"stmaker/internal/metrics"
+	"stmaker/internal/modelio"
+	"stmaker/internal/roadnet"
 	"stmaker/internal/simulate"
 	"stmaker/internal/traj"
 	"stmaker/internal/worldio"
@@ -46,17 +49,18 @@ var (
 	originShanghai = geo.Point{Lat: 31.10, Lng: 121.20}
 )
 
-// buildRegion trains a small city at the given origin and lays its
-// world + model down in dir/<name>/ in the -model-dir layout, with a
-// region.json carrying the city's bounding box.
-func buildRegion(t testing.TB, dir, name string, origin geo.Point, seed int64) region {
+// buildRegion trains a small city at the given origin — with HMM map
+// matching when hmm is set, so its model carries a routing overlay — and
+// lays its world + model down in dir/<name>/ in the -model-dir layout,
+// with a region.json carrying the city's bounding box.
+func buildRegion(t testing.TB, dir, name string, origin geo.Point, seed int64, hmm bool) region {
 	t.Helper()
 	city := simulate.NewCity(simulate.CityOptions{
 		Rows: 6, Cols: 6, BlockMeters: 500, Origin: origin, Seed: seed,
 	})
 	checkins := simulate.GenerateCheckins(city.Landmarks, simulate.CheckinOptions{Seed: seed + 1})
 	city.Landmarks.InferSignificance(200, checkins, hits.Options{})
-	s, err := stmaker.New(stmaker.Config{Graph: city.Graph, Landmarks: city.Landmarks})
+	s, err := stmaker.New(stmaker.Config{Graph: city.Graph, Landmarks: city.Landmarks, UseHMMMatching: hmm})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +143,8 @@ func twoRegionDir(t testing.TB) (string, []region) {
 		}
 		twoDir = dir
 		twoRegions = []region{
-			buildRegion(t, dir, "beijing", originBeijing, 101),
-			buildRegion(t, dir, "shanghai", originShanghai, 202),
+			buildRegion(t, dir, "beijing", originBeijing, 101, false),
+			buildRegion(t, dir, "shanghai", originShanghai, 202, false),
 		}
 	})
 	if twoErr != nil {
@@ -175,8 +179,8 @@ func TestOpenRoutesPerRegion(t *testing.T) {
 	if got := r.Names(); len(got) != 2 || got[0] != "beijing" || got[1] != "shanghai" {
 		t.Fatalf("Names() = %v, want [beijing shanghai]", got)
 	}
-	if !r.Multi() {
-		t.Error("Multi() = false for two regions")
+	if r.Static() {
+		t.Error("Static() = true for a -model-dir registry")
 	}
 	if !r.SeparateMetrics() {
 		t.Error("SeparateMetrics() = false for a -model-dir registry")
@@ -386,6 +390,107 @@ func TestEvictionAndColdReload(t *testing.T) {
 	}
 }
 
+// TestRegionOverlayBytesGauge pins region_overlay_bytes to the overlay
+// of the model a region is serving: its resident size after a load and
+// after each reload, whatever the new model carries, and 0 once the
+// region is evicted.
+func TestRegionOverlayBytesGauge(t *testing.T) {
+	dir := t.TempDir()
+	regions := []region{
+		buildRegion(t, dir, "beijing", originBeijing, 101, true),
+		buildRegion(t, dir, "shanghai", originShanghai, 202, true),
+	}
+	opts := testOptions()
+	opts.NewSummarizer = func(g *roadnet.Graph, lms *landmark.Set, mx *metrics.Registry) (*stmaker.Summarizer, error) {
+		return stmaker.New(stmaker.Config{Graph: g, Landmarks: lms, Metrics: mx, UseHMMMatching: true})
+	}
+	// The budget is soft for one region, so every load evicts the other.
+	opts.MaxBytes = 1
+	r, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	name := regions[0].name
+	gauge := r.RegionMetrics(name).Counter(MetricRegionOverlayBytes)
+	overlayBytes := func(name string) int64 {
+		t.Helper()
+		s, err := r.Summarizer(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := s.Model().RoutingOverlay()
+		if o == nil {
+			return 0
+		}
+		return o.MemoryBytes()
+	}
+	reload := func() {
+		t.Helper()
+		if _, err := r.TriggerReload(name, "test"); err != nil {
+			t.Fatal(err)
+		}
+		waitForReloadIdle(t, r, name)
+	}
+
+	want := overlayBytes(name)
+	if want == 0 {
+		t.Fatal("HMM-trained region model carries no overlay")
+	}
+	if got := gauge.Value(); got != want {
+		t.Fatalf("after load: %s = %d, want %d", MetricRegionOverlayBytes, got, want)
+	}
+
+	// Reload the same knowledge without its overlay, then with it again.
+	modelPath := filepath.Join(dir, name, "model.stm")
+	withOverlay, err := os.ReadFile(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, err := os.Open(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := modelio.Read(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	data.Overlay = nil
+	bare, err := os.Create(modelPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := modelio.Write(bare, data); err != nil {
+		t.Fatal(err)
+	}
+	if err := bare.Close(); err != nil {
+		t.Fatal(err)
+	}
+	reload()
+	if got := gauge.Value(); got != 0 {
+		t.Errorf("after reload without overlay: %s = %d, want 0", MetricRegionOverlayBytes, got)
+	}
+	if err := os.WriteFile(modelPath, withOverlay, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	reload()
+	if got, want := gauge.Value(), overlayBytes(name); got != want || got == 0 {
+		t.Errorf("after reload with overlay: %s = %d, want %d", MetricRegionOverlayBytes, got, want)
+	}
+
+	// Loading the other region evicts this one.
+	other := overlayBytes(regions[1].name)
+	if r.Loaded(name) {
+		t.Fatal("region still loaded past the budget")
+	}
+	if got := gauge.Value(); got != 0 {
+		t.Errorf("after eviction: %s = %d, want 0", MetricRegionOverlayBytes, got)
+	}
+	if got := r.RegionMetrics(regions[1].name).Counter(MetricRegionOverlayBytes).Value(); got != other || got == 0 {
+		t.Errorf("loaded region: %s = %d, want %d", MetricRegionOverlayBytes, got, other)
+	}
+}
+
 func regionBytes(t testing.TB, dir, name string) int64 {
 	t.Helper()
 	var total int64
@@ -491,8 +596,8 @@ func TestStaticRegistry(t *testing.T) {
 		t.Fatal(err)
 	}
 	r := NewStatic(DefaultRegionName, s, nil, testOptions())
-	if r.Multi() {
-		t.Error("static registry claims Multi")
+	if !r.Static() {
+		t.Error("NewStatic registry does not report Static")
 	}
 	if r.DefaultRegion() != DefaultRegionName {
 		t.Errorf("DefaultRegion() = %q", r.DefaultRegion())

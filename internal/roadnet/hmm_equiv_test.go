@@ -137,8 +137,8 @@ func TestHMMFastMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestHMMFastNoCacheMatchesNaive pins the cache-free fast path (SPCache
-// disabled, as with Config.SPCacheEntries < 0) to the same equivalence.
+// TestHMMFastNoCacheMatchesNaive pins the cache-free fast path (a nil
+// HMMOptions.Cache) to the same equivalence.
 func TestHMMFastNoCacheMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGrid(rng, 7, 200)

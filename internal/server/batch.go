@@ -25,10 +25,11 @@ const (
 	// (Options.MaxBatchItems): enough for a whole fleet snapshot while
 	// bounding the per-request fan-out state.
 	DefaultMaxBatchItems = 1024
-	// DefaultMaxItemSamples caps one batch item's trajectory samples
-	// (Options.MaxItemSamples): roughly what the single endpoint's
-	// 4 MiB body cap holds for one verbose-JSON trajectory, so a batch
-	// cannot smuggle in an item the single endpoint would have 413'd.
+	// DefaultMaxItemSamples caps one batch item's trajectory samples:
+	// roughly what the single endpoint's 4 MiB body cap holds for one
+	// verbose-JSON trajectory, so a batch cannot smuggle in an item the
+	// single endpoint would have 413'd. An oversized item fails alone
+	// (inline per-item error) without failing the batch.
 	DefaultMaxItemSamples = 40000
 	// batchBodyFactor scales Options.MaxBodyBytes for the batch
 	// endpoint's body cap: a batch legitimately carries many
@@ -70,27 +71,10 @@ func (srv *Server) maxBatchItems() int {
 	}
 }
 
-func (srv *Server) maxItemSamples() int {
-	switch {
-	case srv.opts.MaxItemSamples > 0:
-		return srv.opts.MaxItemSamples
-	case srv.opts.MaxItemSamples < 0:
-		return 0
-	default:
-		return DefaultMaxItemSamples
-	}
-}
-
-func (srv *Server) batchWorkers() int {
-	if srv.opts.BatchWorkers > 0 {
-		return srv.opts.BatchWorkers
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // handleBatch is POST /summarize/batch. The whole batch occupies one
-// in-flight slot of the load shedder; parallelism inside the batch is
-// bounded by Options.BatchWorkers. The response is a JSON array with
+// in-flight slot of the load shedder however many workers it fans out
+// to (GOMAXPROCS, so one batch in flight keeps every core busy). The
+// response is a JSON array with
 // exactly one element per item, streamed in input order as items
 // complete, so the client starts reading while the tail of the batch is
 // still being computed.
@@ -140,10 +124,7 @@ func (srv *Server) runBatch(ctx context.Context, w http.ResponseWriter, req *Bat
 	for i := range ready {
 		ready[i] = make(chan struct{})
 	}
-	workers := srv.batchWorkers()
-	if workers > n {
-		workers = n
-	}
+	workers := min(runtime.GOMAXPROCS(0), n)
 	var next atomic.Int64
 	for wk := 0; wk < workers; wk++ {
 		go func() {
@@ -216,8 +197,8 @@ func (srv *Server) batchItem(ctx context.Context, item *SummarizeRequest, defK i
 	if item.Region == "" {
 		item.Region = defRegion
 	}
-	if max := srv.maxItemSamples(); max > 0 && item.Trajectory != nil && len(item.Trajectory.Samples) > max {
-		return SummarizeResponse{Error: fmt.Sprintf("item trajectory exceeds %d samples", max)}
+	if item.Trajectory != nil && len(item.Trajectory.Samples) > DefaultMaxItemSamples {
+		return SummarizeResponse{Error: fmt.Sprintf("item trajectory exceeds %d samples", DefaultMaxItemSamples)}
 	}
 	resp, _ := srv.summarizeOne(ctx, item, "")
 	return resp

@@ -11,7 +11,6 @@ import (
 
 	"stmaker/internal/geo"
 	"stmaker/internal/ingest"
-	"stmaker/internal/registry"
 )
 
 // ingestLine is one NDJSON line of a POST /ingest stream: a GPS fix
@@ -100,12 +99,15 @@ func (srv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 		if ing == nil {
-			region, i, err := srv.resolveIngester(&l, r)
+			region, err := srv.routeRegion(r.URL.Query().Get("region"), l.Region, &geo.Point{Lat: l.Lat, Lng: l.Lng})
+			if err == nil {
+				ing, err = srv.ingest.Ingester(region)
+			}
 			if err != nil {
 				fail(statusForError(err), err.Error())
 				return
 			}
-			resp.Region, ing = region, i
+			resp.Region = region
 		}
 		if l.End {
 			if err := ing.CloseTrip(l.Trip); err != nil {
@@ -153,29 +155,4 @@ func (srv *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	srv.writeJSON(w, resp)
-}
-
-// resolveIngester routes an ingest stream to a region ingester with the
-// same precedence as summarize routing: ?region= query parameter, then
-// the first line's region field, then the sole region, then spatial
-// routing by the first fix's coordinates.
-func (srv *Server) resolveIngester(first *ingestLine, r *http.Request) (string, *ingest.Ingester, error) {
-	region := first.Region
-	if q := r.URL.Query().Get("region"); q != "" {
-		region = q
-	}
-	if region == "" {
-		region = srv.reg.DefaultRegion()
-	}
-	if region == "" {
-		p := geo.Point{Lat: first.Lat, Lng: first.Lng}
-		name, ok := srv.reg.Resolve(p)
-		if !ok {
-			return "", nil, fmt.Errorf("%w: no region key given and no region covers %v",
-				registry.ErrUnknownRegion, p)
-		}
-		region = name
-	}
-	ing, err := srv.ingest.Ingester(region)
-	return region, ing, err
 }

@@ -186,7 +186,6 @@ func TestMetricsExposeSPCacheCounters(t *testing.T) {
 		Graph:          city.Graph,
 		Landmarks:      city.Landmarks,
 		UseHMMMatching: true,
-		SPCacheEntries: 4096,
 	})
 	if err != nil {
 		t.Fatal(err)

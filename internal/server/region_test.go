@@ -451,6 +451,44 @@ func TestOneRegionDirReload(t *testing.T) {
 	}
 }
 
+// TestOneRegionDirEchoesRegion: a -model-dir registry names the region
+// that answered even when it holds only one — the response shape follows
+// how the registry was built, not how many regions it has — on the
+// single endpoint and on every batch item.
+func TestOneRegionDirEchoesRegion(t *testing.T) {
+	srv, region := oneRegionServer(t)
+	rec := post(t, srv, "/summarize", SummarizeRequest{Trajectory: region.trip})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("summarize = %d: %s", rec.Code, rec.Body.String())
+	}
+	var resp SummarizeResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+		t.Fatal(err)
+	}
+	if resp.Region != region.name {
+		t.Errorf("summarize region = %q, want %q", resp.Region, region.name)
+	}
+
+	rec = post(t, srv, "/summarize/batch", BatchRequest{Items: []SummarizeRequest{
+		{Trajectory: region.trip}, {Trajectory: region.trip, Region: region.name},
+	}})
+	if rec.Code != http.StatusOK {
+		t.Fatalf("batch = %d: %s", rec.Code, rec.Body.String())
+	}
+	var items []SummarizeResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &items); err != nil {
+		t.Fatal(err)
+	}
+	if len(items) != 2 {
+		t.Fatalf("batch returned %d items, want 2", len(items))
+	}
+	for i, it := range items {
+		if it.Error != "" || it.Region != region.name {
+			t.Errorf("batch item %d: region = %q, error = %q; want region %q", i, it.Region, it.Error, region.name)
+		}
+	}
+}
+
 // TestOneRegionDirMetricsShape: a one-region -model-dir keeps its
 // region's own registry, so GET /metrics must nest it under "regions"
 // rather than drop its pipeline and model series.

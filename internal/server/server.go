@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"stmaker"
+	"stmaker/internal/geo"
 	"stmaker/internal/ingest"
 	"stmaker/internal/metrics"
 	"stmaker/internal/registry"
@@ -84,21 +85,10 @@ type Options struct {
 	// disables the cap. POST /summarize/batch carries many trajectories
 	// in one body, so its cap is this value × 16 (see batch.go).
 	MaxBodyBytes int64
-	// BatchWorkers bounds the worker pool a single POST /summarize/batch
-	// request fans its items across. The batch occupies one in-flight
-	// slot (MaxInFlight) regardless of its worker count. 0 uses
-	// GOMAXPROCS — with one batch in flight that keeps every core busy.
-	BatchWorkers int
 	// MaxBatchItems caps the items of one batch request; a larger batch
 	// is rejected whole with 413. 0 uses DefaultMaxBatchItems; negative
 	// disables the cap.
 	MaxBatchItems int
-	// MaxItemSamples caps one batch item's trajectory samples; an
-	// oversized item fails alone (inline per-item error) without
-	// failing the batch — the batch-shaped analogue of the single
-	// endpoint's body cap. 0 uses DefaultMaxItemSamples; negative
-	// disables the cap.
-	MaxItemSamples int
 	// MaxInFlight bounds concurrently-handled requests on all routes
 	// except the infrastructure endpoints (/healthz, /readyz, /metrics,
 	// /debug/pprof/). Requests beyond the limit are shed immediately
@@ -424,7 +414,15 @@ func (srv *Server) summarizeOne(ctx context.Context, req *SummarizeRequest, quer
 	if req.Trajectory == nil {
 		return SummarizeResponse{Error: "missing trajectory"}, http.StatusBadRequest
 	}
-	region, s, err := srv.resolveRegion(req, queryRegion)
+	var first *geo.Point
+	if len(req.Trajectory.Samples) > 0 {
+		first = &req.Trajectory.Samples[0].Pt
+	}
+	region, err := srv.routeRegion(queryRegion, req.Region, first)
+	var s *stmaker.Summarizer
+	if err == nil {
+		s, err = srv.reg.Summarizer(region)
+	}
 	if err != nil {
 		return SummarizeResponse{Error: err.Error()}, statusForError(err)
 	}
@@ -438,7 +436,9 @@ func (srv *Server) summarizeOne(ctx context.Context, req *SummarizeRequest, quer
 		return SummarizeResponse{Error: err.Error()}, statusForError(err)
 	}
 	resp := SummarizeResponse{ID: sum.TrajectoryID, Text: sum.Text}
-	if srv.reg.Multi() {
+	// Only a registry of regions names the one that answered; a wrapped
+	// in-process summarizer has no region to report.
+	if !srv.reg.Static() {
 		resp.Region = region
 	}
 	resp.Parts = make([]PartResponse, 0, len(sum.Parts))
@@ -458,38 +458,37 @@ func (srv *Server) summarizeOne(ctx context.Context, req *SummarizeRequest, quer
 	return resp, http.StatusOK
 }
 
-// resolveRegion picks the regional summarizer serving a request.
-// Precedence: the ?region= query parameter, then the body's region
-// field, then the sole region when the registry holds exactly one
+// routeRegion names the region serving a summarize or ingest request.
+// Precedence: the ?region= query parameter, then the key the body
+// carries (the summarize request's region field, the first NDJSON
+// line's), then the sole region when the registry holds exactly one
 // (single-region deployments never need a key), then spatial routing of
-// the trajectory's first sample against region bounding boxes. A
-// request that resolves to no region fails with ErrUnknownRegion (404):
-// from the client's point of view "region key that does not exist" and
-// "location no region covers" are the same condition — this deployment
-// does not serve it.
-func (srv *Server) resolveRegion(req *SummarizeRequest, queryRegion string) (string, *stmaker.Summarizer, error) {
-	region := req.Region
-	if queryRegion != "" {
-		region = queryRegion
+// the request's first point — nil when it has none — against region
+// bounding boxes. A request that resolves to no region fails with
+// ErrUnknownRegion (404): from the client's point of view "region key
+// that does not exist" and "location no region covers" are the same
+// condition — this deployment does not serve it.
+func (srv *Server) routeRegion(query, key string, first *geo.Point) (string, error) {
+	region := key
+	if query != "" {
+		region = query
 	}
 	if region == "" {
 		region = srv.reg.DefaultRegion()
 	}
-	if region == "" {
-		if len(req.Trajectory.Samples) == 0 {
-			return "", nil, fmt.Errorf("%w: no region key given and trajectory has no samples to route by",
-				registry.ErrUnknownRegion)
-		}
-		p := req.Trajectory.Samples[0].Pt
-		name, ok := srv.reg.Resolve(p)
-		if !ok {
-			return "", nil, fmt.Errorf("%w: no region key given and no region covers %v",
-				registry.ErrUnknownRegion, p)
-		}
-		region = name
+	if region != "" {
+		return region, nil
 	}
-	s, err := srv.reg.Summarizer(region)
-	return region, s, err
+	if first == nil {
+		return "", fmt.Errorf("%w: no region key given and trajectory has no samples to route by",
+			registry.ErrUnknownRegion)
+	}
+	name, ok := srv.reg.Resolve(*first)
+	if !ok {
+		return "", fmt.Errorf("%w: no region key given and no region covers %v",
+			registry.ErrUnknownRegion, *first)
+	}
+	return name, nil
 }
 
 // MetricHTTPEncodeErrors counts response bodies that failed to encode

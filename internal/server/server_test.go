@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 
@@ -122,6 +123,10 @@ func TestSummarizeEndpoint(t *testing.T) {
 	rec := post(t, srv, "/summarize", SummarizeRequest{Trajectory: trip})
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status = %d, body = %s", rec.Code, rec.Body.String())
+	}
+	// A wrapped in-process summarizer has no region to name.
+	if strings.Contains(rec.Body.String(), `"region"`) {
+		t.Errorf("single-summarizer response names a region: %s", rec.Body.String())
 	}
 	var resp SummarizeResponse
 	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil {

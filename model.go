@@ -54,9 +54,9 @@ type Model struct {
 	stats                   TrainStats
 	popular                 *history.Popular
 	featMap                 *history.FeatureMap
-	// overlay is the precomputed ALT routing overlay (nil when disabled
-	// or when the model came from a pre-overlay file — serving then falls
-	// back to plain Dijkstra, never an error).
+	// overlay is the precomputed ALT routing overlay (nil when trained
+	// without HMM matching or loaded from a pre-overlay file — serving
+	// then falls back to plain Dijkstra, never an error).
 	overlay *roadnet.Overlay
 }
 
@@ -97,9 +97,10 @@ func (m *Model) Popular() *history.Popular { return m.popular }
 func (m *Model) FeatureMap() *history.FeatureMap { return m.featMap }
 
 // RoutingOverlay exposes the precomputed ALT routing overlay, or nil when
-// the model carries none (Config.OverlayLandmarks < 0, or the model was
-// loaded from a file written before the overlay existed — both serve
-// through the plain Dijkstra engine). Read-only.
+// the model carries none: it was trained without HMM matching
+// (Config.UseHMMMatching), or loaded from a file written before the
+// overlay existed. An HMM summarizer serving such a model routes through
+// the plain Dijkstra engine. Read-only.
 func (m *Model) RoutingOverlay() *roadnet.Overlay { return m.overlay }
 
 // WriteTo serializes the model in the versioned, CRC-checksummed binary
@@ -348,7 +349,6 @@ func (s *Summarizer) publish(m Model) *Model {
 		}
 	}
 	s.mx.Counter(MetricModelSwaps).Inc()
-	gauge := s.mx.Counter(MetricModelVersion) //nolint:stmaker/metricnames -- model_version is a gauge (set to the serving model's version), so the _total counter suffix does not apply
-	gauge.Add(int64(m.version) - gauge.Value())
+	s.mx.Counter(MetricModelVersion).Set(int64(m.version)) //nolint:stmaker/metricnames -- model_version is a gauge (set to the serving model's version), so the _total counter suffix does not apply
 	return &m
 }

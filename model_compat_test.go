@@ -1,10 +1,13 @@
 package stmaker
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"os"
 	"testing"
+
+	"stmaker/internal/simulate"
 )
 
 // v1FixturePath is a pinned model file written by the FormatVersion-1
@@ -62,6 +65,93 @@ func TestV1ModelFixtureServesIdentically(t *testing.T) {
 		t.Fatal("retrain path failed to build an overlay for a v1-loaded summarizer")
 	} else if stats.OverlayBuildSeconds <= 0 {
 		t.Fatal("overlay build time not reported")
+	}
+}
+
+// TestOverlayFollowsHMMMatching pins who pays for the ALT overlay. An
+// HMM summarizer, its only consumer, builds it on the first Train and
+// carries the same tables across a retrain. A greedy summarizer builds
+// none, not even in an ingest compaction, yet still loads a format-2
+// file that carries one, and the overlay is inert there: it serves the
+// same bytes as the same knowledge without an overlay. (Greedy and HMM
+// matching extract different routing-feature values, so the reference is
+// the writer's model served greedily, not the HMM writer itself.)
+func TestOverlayFollowsHMMMatching(t *testing.T) {
+	city, hmm := newWorld(t, func(c *Config) { c.UseHMMMatching = true })
+	overlay := hmm.Model().RoutingOverlay()
+	if overlay == nil {
+		t.Fatal("HMM Train built no routing overlay")
+	}
+	if hmm.Model().Stats().OverlayBuildSeconds <= 0 {
+		t.Error("HMM Train reported no overlay build time")
+	}
+	var file bytes.Buffer
+	if _, err := hmm.SaveModel(&file); err != nil {
+		t.Fatal(err)
+	}
+
+	stats, err := hmm.Train(rawCorpus(simulate.GenerateFleet(city, simulate.FleetOptions{
+		NumTrips: 20, Seed: 91, FixedHour: -1, Calm: true,
+	})))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hmm.Model().RoutingOverlay() != overlay {
+		t.Error("HMM retrain rebuilt the overlay instead of reusing the serving one")
+	}
+	if stats.OverlayBuildSeconds != 0 {
+		t.Errorf("HMM retrain reports %gs of overlay build", stats.OverlayBuildSeconds)
+	}
+	if n := hmm.Metrics().Snapshot().Histograms[MetricModelBuild].Count; n != 1 {
+		t.Errorf("%s count = %d after train + retrain, want 1", MetricModelBuild, n)
+	}
+
+	greedy, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := ReadModelFrom(&file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.RoutingOverlay() == nil {
+		t.Fatal("HMM model file carries no overlay")
+	}
+	if err := greedy.LoadModel(m); err != nil {
+		t.Fatalf("greedy summarizer rejected an overlay-carrying model: %v", err)
+	}
+	bare, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks})
+	if err != nil {
+		t.Fatal(err)
+	}
+	stripped := *m
+	stripped.overlay = nil
+	if err := bare.LoadModel(&stripped); err != nil {
+		t.Fatal(err)
+	}
+	for _, seed := range []int64{24, 31, 47, 63} {
+		trip := eventfulTrip(t, city, seed)
+		if got, want := summaryFingerprint(t, greedy, trip.Raw), summaryFingerprint(t, bare, trip.Raw); got != want {
+			t.Errorf("seed %d: the overlay changed a greedy summary\n got: %s\nwant: %s", seed, got, want)
+		}
+	}
+
+	// A compaction on the greedy summarizer builds no overlay, even while
+	// the model it replaces carries one.
+	acc, err := greedy.NewHistoryAccumulator(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tr := range simulate.GenerateFleet(city, simulate.FleetOptions{NumTrips: 10, Seed: 93, FixedHour: -1, Calm: true}) {
+		if sym, err := greedy.Calibrate(tr.Raw); err == nil {
+			greedy.AccumulateHistory(acc, sym)
+		}
+	}
+	if acc.Trips() == 0 {
+		t.Fatal("no compaction trip calibrated")
+	}
+	if c := greedy.BuildIncrementalModel(acc); c.RoutingOverlay() != nil {
+		t.Error("greedy compaction built a routing overlay")
 	}
 }
 

@@ -43,6 +43,18 @@ func TestModelRoundTripByteIdentical(t *testing.T) {
 	trip := eventfulTrip(t, city, 31)
 	want := summaryFingerprint(t, s, trip.Raw)
 
+	// Greedy matching never routes, so its Train builds no ALT overlay:
+	// no tables, no build time, no model_build_seconds observation.
+	if s.Model().RoutingOverlay() != nil {
+		t.Error("greedy Train built a routing overlay")
+	}
+	if got := s.Model().Stats().OverlayBuildSeconds; got != 0 {
+		t.Errorf("greedy Train reports %gs of overlay build", got)
+	}
+	if _, ok := s.Metrics().Snapshot().Histograms[MetricModelBuild]; ok {
+		t.Errorf("greedy Train observed %s", MetricModelBuild)
+	}
+
 	var file bytes.Buffer
 	n, err := s.SaveModel(&file)
 	if err != nil {
@@ -50,6 +62,11 @@ func TestModelRoundTripByteIdentical(t *testing.T) {
 	}
 	if n != int64(file.Len()) || n == 0 {
 		t.Fatalf("SaveModel reported %d bytes, wrote %d", n, file.Len())
+	}
+	// The overlay-present flag is the last payload byte (see the
+	// internal/modelio layout); an overlay-less model writes 0 there.
+	if last := file.Bytes()[file.Len()-1]; last != 0 {
+		t.Errorf("greedy model file sets the overlay-present byte to %d", last)
 	}
 
 	cold, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks})

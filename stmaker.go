@@ -94,7 +94,8 @@ const (
 
 	// MetricModelBuild times model-assembly work that happens inside
 	// Train beyond corpus aggregation — today the ALT routing-overlay
-	// precomputation (see Config.OverlayLandmarks).
+	// precomputation, observed only with HMM matching
+	// (Config.UseHMMMatching).
 	MetricModelBuild = "model_build_seconds"
 	// MetricModelVersion is a gauge holding the currently-served model's
 	// version (see Model.Version); 0 until the first publish.
@@ -148,35 +149,17 @@ type Config struct {
 	// K fixes the summary granularity to exactly K partitions; 0 uses the
 	// globally optimal (unconstrained) partition, STMaker's default.
 	K int
-	// GlobalMeanFallback substitutes the corpus-wide feature mean when the
-	// historical feature map lacks a transition (default true via New).
-	GlobalMeanFallback *bool
 	// UseHMMMatching switches routing-feature extraction from greedy
 	// nearest-edge map matching to HMM (Viterbi) matching — slower but
-	// robust to GPS noise near parallel roads.
+	// robust to GPS noise near parallel roads. Shortest paths feed only
+	// this matcher, so only an HMM summarizer gets the routing machinery:
+	// a process-wide shortest-path distance cache shared by concurrent
+	// Summarize calls (roadnet.SPCache, roadnet.DefaultSPCacheEntries
+	// entries, reported by the roadnet_sp_cache_* counters) and the ALT
+	// routing overlay its first Train precomputes over the road graph (see
+	// roadnet.BuildOverlay), whose build time is reported in
+	// TrainStats.OverlayBuildSeconds and the model_build_seconds histogram.
 	UseHMMMatching bool
-	// SPCacheEntries sizes the shared shortest-path distance cache behind
-	// HMM map matching: transition distances repeat across overlapping
-	// trajectories, so concurrent Summarize calls feed one process-wide
-	// sharded LRU (see roadnet.SPCache). 0 uses
-	// roadnet.DefaultSPCacheEntries; negative disables the cache. Ignored
-	// unless UseHMMMatching is set. Cache traffic is reported by the
-	// roadnet_sp_cache_* counters.
-	SPCacheEntries int
-	// TrainWorkers bounds the goroutines Train uses to calibrate the
-	// corpus in parallel: 0 (default) uses GOMAXPROCS, 1 forces the
-	// serial path (the benchmark baseline).
-	TrainWorkers int
-	// OverlayLandmarks is the number of ALT routing landmarks Train
-	// precomputes over the road graph and hangs off the published Model
-	// (see roadnet.BuildOverlay): goal-directed lower bounds make cold
-	// shortest-path queries near-warm while keeping results bit-identical
-	// to plain Dijkstra. 0 uses roadnet.DefaultOverlayLandmarks; negative
-	// disables the overlay (models then serve through the plain engine).
-	// The precomputation parallelizes across TrainWorkers and its
-	// duration is reported in TrainStats.OverlayBuildSeconds and the
-	// model_build_seconds histogram.
-	OverlayLandmarks int
 	// Sanitize, when non-nil, repairs every raw trajectory (corpus and
 	// serve-time) before calibration: invalid fixes are dropped,
 	// timestamps re-sorted and deduplicated, teleport outliers and
@@ -209,8 +192,8 @@ type TrainStats struct {
 	// whole corpus.
 	Repairs sanitize.Report
 	// OverlayBuildSeconds is the wall time spent precomputing the ALT
-	// routing overlay (Config.OverlayLandmarks); 0 when the overlay was
-	// disabled or reused from the previously published model.
+	// routing overlay; 0 without HMM matching (Config.UseHMMMatching) or
+	// when the overlay was reused from the previously published model.
 	OverlayBuildSeconds float64
 }
 
@@ -228,7 +211,6 @@ type Summarizer struct {
 	calibrator *calibrate.Calibrator
 	sanitizer  *sanitize.Sanitizer
 	templates  *summarize.TemplateSet
-	fallback   bool
 
 	mx     *metrics.Registry
 	timers stageTimers
@@ -332,10 +314,6 @@ func New(cfg Config) (*Summarizer, error) {
 	if cfg.Threshold == 0 { //lint:allow floateq -- zero means unset in Config
 		cfg.Threshold = irregular.DefaultThreshold
 	}
-	fallback := true
-	if cfg.GlobalMeanFallback != nil {
-		fallback = *cfg.GlobalMeanFallback
-	}
 	reg := feature.NewDefaultRegistry()
 	ctx := feature.NewContext(cfg.Graph, roadnet.NewMatcher(cfg.Graph), cfg.Landmarks)
 	mx := cfg.Metrics
@@ -343,15 +321,12 @@ func New(cfg Config) (*Summarizer, error) {
 		mx = metrics.NewRegistry()
 	}
 	if cfg.UseHMMMatching {
-		var cache *roadnet.SPCache
-		if cfg.SPCacheEntries >= 0 {
-			cache = roadnet.NewSPCache(roadnet.SPCacheOptions{
-				Capacity:  cfg.SPCacheEntries,
-				Hits:      mx.Counter(MetricSPCacheHits),
-				Misses:    mx.Counter(MetricSPCacheMisses),
-				Evictions: mx.Counter(MetricSPCacheEvictions),
-			})
-		}
+		cache := roadnet.NewSPCache(roadnet.SPCacheOptions{
+			Capacity:  roadnet.DefaultSPCacheEntries,
+			Hits:      mx.Counter(MetricSPCacheHits),
+			Misses:    mx.Counter(MetricSPCacheMisses),
+			Evictions: mx.Counter(MetricSPCacheEvictions),
+		})
 		ctx.HMM = roadnet.NewHMMMatcher(cfg.Graph, roadnet.HMMOptions{Cache: cache})
 	}
 	s := &Summarizer{
@@ -363,7 +338,6 @@ func New(cfg Config) (*Summarizer, error) {
 			MinSpacingMeters: cfg.MinAnchorSpacingMeters,
 		}),
 		templates: summarize.DefaultTemplates(),
-		fallback:  fallback,
 		mx:        mx,
 		timers:    newStageTimers(mx),
 		model:     &atomic.Pointer[Model]{},
@@ -423,8 +397,8 @@ func (s *Summarizer) Calibrate(r *traj.Raw) (*traj.Symbolic, error) {
 // requests see either the old knowledge or the new, never a mix.
 //
 // Calibration of the corpus is embarrassingly parallel and runs across
-// Config.TrainWorkers goroutines (default GOMAXPROCS); the aggregation in
-// trainSymbolic stays single-writer. Corpus order is preserved, so Train
+// GOMAXPROCS goroutines; the aggregation in trainSymbolic stays
+// single-writer. Corpus order is preserved, so Train
 // is deterministic regardless of worker count.
 func (s *Summarizer) Train(corpus []*traj.Raw) (TrainStats, error) {
 	defer s.timers.train.ObserveSince(time.Now())
@@ -459,11 +433,11 @@ func (s *Summarizer) Train(corpus []*traj.Raw) (TrainStats, error) {
 }
 
 // calibrateCorpus sanitizes (when configured) and calibrates every corpus
-// trajectory, in parallel when more than one worker is configured,
-// returning one symbolic slot and one repair report per input (nil
-// symbolic where sanitization rejected or calibration failed). The
-// calibrator and sanitizer are stateless per call and the landmark index
-// is immutable, so workers share them safely.
+// trajectory across min(GOMAXPROCS, len(corpus)) workers, returning one
+// symbolic slot and one repair report per input (nil symbolic where
+// sanitization rejected or calibration failed). The calibrator and
+// sanitizer are stateless per call and the landmark index is immutable,
+// so workers share them safely.
 func (s *Summarizer) calibrateCorpus(corpus []*traj.Raw) ([]*traj.Symbolic, []sanitize.Report) {
 	out := make([]*traj.Symbolic, len(corpus))
 	reports := make([]sanitize.Report, len(corpus))
@@ -482,19 +456,7 @@ func (s *Summarizer) calibrateCorpus(corpus []*traj.Raw) ([]*traj.Symbolic, []sa
 		out[i], _ = s.calibrator.Calibrate(r)
 		s.timers.calibrate.ObserveSince(t0)
 	}
-	workers := s.cfg.TrainWorkers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(corpus) {
-		workers = len(corpus)
-	}
-	if workers <= 1 {
-		for i := range corpus {
-			one(i)
-		}
-		return out, reports
-	}
+	workers := min(runtime.GOMAXPROCS(0), len(corpus))
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(workers)
@@ -550,24 +512,21 @@ func (s *Summarizer) trainSymbolic(corpus []*traj.Symbolic, stats TrainStats) *M
 }
 
 // routingOverlay returns the ALT overlay for the model being assembled:
-// the previous model's overlay when one is already serving (the graph is
-// fixed per Summarizer, so its tables stay valid across retrains — a live
-// retrain never re-pays the precomputation), a freshly built one on the
-// first train, or nil when Config.OverlayLandmarks disables it. A fresh
-// build parallelizes across Config.TrainWorkers, stamps
-// stats.OverlayBuildSeconds and observes model_build_seconds.
+// nil without an HMM matcher (the overlay's only consumer), the previous
+// model's overlay when one is already serving (the graph is fixed per
+// Summarizer, so its tables stay valid across retrains — a live retrain
+// never re-pays the precomputation), or a freshly built one on the first
+// train. A fresh build stamps stats.OverlayBuildSeconds and observes
+// model_build_seconds.
 func (s *Summarizer) routingOverlay(stats *TrainStats) *roadnet.Overlay {
+	if s.ctx.HMM == nil {
+		return nil
+	}
 	if m := s.model.Load(); m != nil && m.overlay != nil && m.overlay.NumNodes() == s.cfg.Graph.NumNodes() {
 		return m.overlay
 	}
-	if s.cfg.OverlayLandmarks < 0 {
-		return nil
-	}
 	t0 := time.Now()
-	o := roadnet.BuildOverlay(s.cfg.Graph, roadnet.OverlayOptions{
-		Landmarks: s.cfg.OverlayLandmarks,
-		Workers:   s.cfg.TrainWorkers,
-	})
+	o := roadnet.BuildOverlay(s.cfg.Graph, roadnet.OverlayOptions{})
 	stats.OverlayBuildSeconds = time.Since(t0).Seconds()
 	s.mx.Histogram(MetricModelBuild).Observe(stats.OverlayBuildSeconds)
 	return o
@@ -746,7 +705,7 @@ func (s *Summarizer) summarizeSymbolic(ctx context.Context, sym *traj.Symbolic, 
 		Landmarks:          s.cfg.Landmarks,
 		Weights:            s.cfg.Weights,
 		Threshold:          s.cfg.Threshold,
-		GlobalMeanFallback: s.fallback,
+		GlobalMeanFallback: true,
 	}
 
 	tSelect := time.Now()

@@ -1,6 +1,7 @@
 package stmaker
 
 import (
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -328,10 +329,7 @@ func TestSummarizeWithHMMMatching(t *testing.T) {
 // cache every HMM-matching request shares, from many goroutines at once.
 // Run under -race by make check; the cache counters prove it was hit.
 func TestConcurrentHMMSummarizeSharedCache(t *testing.T) {
-	city, s := newWorld(t, func(c *Config) {
-		c.UseHMMMatching = true
-		c.SPCacheEntries = 8192
-	})
+	city, s := newWorld(t, func(c *Config) { c.UseHMMMatching = true })
 	trips := simulate.GenerateFleet(city, simulate.FleetOptions{NumTrips: 8, Seed: 93, FixedHour: 9})
 
 	// Golden serial results: the shared cache must not change what any
@@ -380,26 +378,6 @@ func TestConcurrentHMMSummarizeSharedCache(t *testing.T) {
 	}
 	if snap.Counters[MetricSPCacheMisses] == 0 {
 		t.Fatalf("shared SP cache never missed: %+v", snap.Counters)
-	}
-}
-
-// TestHMMSPCacheDisabled pins the Config escape hatch: a negative
-// SPCacheEntries turns the cache off entirely, so its counters never
-// register while HMM matching keeps working.
-func TestHMMSPCacheDisabled(t *testing.T) {
-	city, s := newWorld(t, func(c *Config) {
-		c.UseHMMMatching = true
-		c.SPCacheEntries = -1
-	})
-	trip := eventfulTrip(t, city, 97)
-	if _, err := s.Summarize(trip.Raw); err != nil {
-		t.Fatal(err)
-	}
-	snap := s.Metrics().Snapshot()
-	for _, name := range []string{MetricSPCacheHits, MetricSPCacheMisses, MetricSPCacheEvictions} {
-		if _, ok := snap.Counters[name]; ok {
-			t.Fatalf("disabled cache registered counter %s: %+v", name, snap.Counters)
-		}
 	}
 }
 
@@ -508,9 +486,9 @@ func TestTrainEmptyAndHopelessCorpus(t *testing.T) {
 }
 
 // TestTrainParallelMatchesSerial proves the parallel corpus calibration is
-// deterministic: any worker count learns exactly the same knowledge as the
-// serial baseline, and summaries come out identical. Run under -race it
-// also exercises the worker pool for data races.
+// deterministic: Train's pool is GOMAXPROCS workers, and any size learns
+// exactly the same knowledge as a single worker, with identical
+// summaries. Run under -race it also exercises the pool for data races.
 func TestTrainParallelMatchesSerial(t *testing.T) {
 	city := simulate.NewCity(simulate.CityOptions{Rows: 8, Cols: 8, BlockMeters: 500, Seed: 21})
 	visits := simulate.GenerateCheckins(city.Landmarks, simulate.CheckinOptions{Seed: 22})
@@ -526,8 +504,9 @@ func TestTrainParallelMatchesSerial(t *testing.T) {
 
 	summarizers := map[int]*Summarizer{}
 	var serialStats TrainStats
-	for _, workers := range []int{1, 4} {
-		s, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks, TrainWorkers: workers})
+	trainWith := func(workers int) (*Summarizer, TrainStats) {
+		defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(workers))
+		s, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -535,9 +514,10 @@ func TestTrainParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Overlay build time is wall clock, the one legitimately
-		// non-deterministic field; everything else must match exactly.
-		stats.OverlayBuildSeconds = 0
+		return s, stats
+	}
+	for _, workers := range []int{1, 4} {
+		s, stats := trainWith(workers)
 		if workers == 1 {
 			serialStats = stats
 		} else if stats != serialStats {

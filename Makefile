@@ -1,14 +1,20 @@
 # Tier-1 gate: every change must keep `make check` green.
-.PHONY: check build vet lint test bench bench-check bench-smoke bench-routing fuzz-smoke ingest-soak load-smoke
+.PHONY: check build vet lint test bench bench-check bench-smoke bench-routing fuzz-smoke ingest-soak
 
 check: build vet lint test
 
 build:
 	go build ./...
 
+# Vet, then the gofmt gate: every tracked Go file must be gofmt-clean.
+# testdata/ is exempt: the go tool never builds it, and the lint
+# fixtures there are analyzer inputs, not code.
 vet:
 	go vet ./...
 	go vet -unsafeptr=true ./...
+	@files=$$(git ls-files '*.go' ':(exclude,glob)**/testdata/**') && \
+	unformatted=$$(gofmt -l $$files) && \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists unformatted files:"; echo "$$unformatted"; exit 1; fi
 
 # Project-specific static analysis: metric naming/doc sync, lat/lng
 # argument order, exact float comparison, context discipline, sync.Pool
@@ -56,13 +62,6 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=15s ./internal/ingest
 	go test -run='^$$' -fuzz=FuzzIngestNDJSON -fuzztime=15s ./internal/server
 	go test -run='^$$' -fuzz=FuzzALTEquivalence -fuzztime=15s ./internal/roadnet
-
-# Short sustained-load smoke: drives a synthetic fleet through the real
-# HTTP serving path (single + batch endpoints mixed) and fails on any
-# 5xx, transport error, or empty run. Real measurements use a longer
-# -duration; see docs/PERFORMANCE.md "Sustained throughput".
-load-smoke:
-	go run ./cmd/stmaker-load -duration 2s -concurrency 2 -batch 4 -assert
 
 # End-to-end ingestion soak: a simulated fleet streamed through the real
 # HTTP ingest path with one crash/recovery cycle in the middle, asserting

@@ -10,7 +10,7 @@
 //	stmakerd -world world.json -train train.json [-addr :8080] [-pprof]
 //	         [-model model.stm] [-save-model model.stm] [-admin]
 //	         [-log text|json] [-max-body N] [-max-inflight N]
-//	         [-timeout D] [-drain D] [-no-sanitize] [-hmm]
+//	         [-timeout D] [-drain D] [-hmm]
 //	         [-ingest-dir wal/ [-ingest-buffer N] [-ingest-compact D]]
 //
 //	stmakerd -model-dir models/ [-model-budget N] [-preload auto|none|all|r1,r2]
@@ -49,6 +49,10 @@
 // request or by the spatial index over region bounding boxes. A reload
 // re-reads the region's model file. -model-dir is mutually exclusive
 // with -world/-train/-model/-save-model.
+//
+// Every trajectory, whether trained on, served or ingested, is repaired
+// (sanitized) before calibration: invalid fixes are dropped, timestamps
+// re-sorted and deduplicated, outliers removed (docs/ROBUSTNESS.md).
 //
 // -hmm switches routing features from greedy to HMM (Viterbi) map
 // matching. Shortest paths feed only that matcher, so only -hmm
@@ -100,7 +104,6 @@ func main() {
 		maxBatch    = flag.Int("max-batch", server.DefaultMaxBatchItems, "max items per batch request (413 beyond; <0 disables)")
 		timeout     = flag.Duration("timeout", 30*time.Second, "per-request pipeline deadline (504 beyond; 0 disables)")
 		drain       = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain deadline")
-		noSanitize  = flag.Bool("no-sanitize", false, "disable input repair (sanitization) before calibration")
 		useHMM      = flag.Bool("hmm", false, "use HMM (Viterbi) map matching for routing features")
 		modelDir    = flag.String("model-dir", "", "serve every region under this directory (multi-region mode)")
 		modelBudget = flag.Int64("model-budget", 0, "memory budget in bytes for loaded region models (LRU eviction beyond; 0 unlimited)")
@@ -151,27 +154,18 @@ func main() {
 			BufferFixes:     *ingestBuffer,
 			Logger:          logger,
 		}
-		if *noSanitize {
-			// Match -no-sanitize's meaning for the ingest path: keep the
-			// structural repairs (invalid samples would fail calibration)
-			// but switch the heuristic ones off.
-			ingestOpts.Sanitize = sanitize.Options{MaxSpeedKmh: -1, JitterEpsilonMeters: -1}
-		}
 	}
 
 	// newSummarizer carries the pipeline flags, so every region of either
 	// mode runs the same pipeline configuration.
 	newSummarizer := func(g *roadnet.Graph, lms *landmark.Set, mx *metrics.Registry) (*stmaker.Summarizer, error) {
-		cfg := stmaker.Config{
+		return stmaker.New(stmaker.Config{
 			Graph:          g,
 			Landmarks:      lms,
 			Metrics:        mx,
 			UseHMMMatching: *useHMM,
-		}
-		if !*noSanitize {
-			cfg.Sanitize = &sanitize.Options{}
-		}
-		return stmaker.New(cfg)
+			Sanitize:       &sanitize.Options{},
+		})
 	}
 
 	var reg *registry.Registry
@@ -202,7 +196,6 @@ func main() {
 		"addr", *addr,
 		"regions", reg.Names(),
 		"budget", *modelBudget,
-		"sanitize", !*noSanitize,
 		"hmm", *useHMM,
 		"admin", *adminOn,
 		"pprof", *pprofOn,

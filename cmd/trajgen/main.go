@@ -5,19 +5,13 @@
 // Usage:
 //
 //	trajgen [-rows 10] [-cols 10] [-train 400] [-test 100] [-seed 1] [-out .]
-//	        [-origin lat,lng] [-fleet N]
+//	        [-origin lat,lng]
 //
 // It writes world.json, train.json and test.json into the -out
 // directory. -origin anchors the city's south-west corner (default
 // central Beijing) — generate at distinct origins to build
 // non-overlapping regions for stmakerd's multi-region mode
 // (docs/MULTI_REGION.md).
-//
-// -fleet N additionally writes fleet.json — N live-traffic trips in
-// the same trips format — as a serving workload for cmd/stmaker-load.
-// The same seed reproduces the same workload bytes, so load runs are
-// comparable across machines and commits (docs/PERFORMANCE.md,
-// "Sustained throughput").
 package main
 
 import (
@@ -44,7 +38,6 @@ func main() {
 		seed   = flag.Int64("seed", 1, "random seed")
 		out    = flag.String("out", ".", "output directory")
 		origin = flag.String("origin", "", "city south-west corner as lat,lng (default central Beijing)")
-		fleet  = flag.Int("fleet", 0, "also write fleet.json: N serving-workload trips for cmd/stmaker-load")
 	)
 	flag.Parse()
 
@@ -75,18 +68,6 @@ func main() {
 	fmt.Printf("wrote world.json (%d nodes, %d edges, %d landmarks), train.json (%d trips), test.json (%d trips) to %s\n",
 		city.Graph.NumNodes(), city.Graph.NumEdges(), city.Landmarks.Len(),
 		len(trainFleet), len(testFleet), *out)
-
-	// The load workload uses a seed offset disjoint from train/test so
-	// the served trips are never the trained-on trips.
-	if *fleet > 0 {
-		loadFleet := simulate.GenerateFleet(city, simulate.FleetOptions{
-			NumTrips: *fleet, Seed: *seed + 4, FixedHour: -1,
-		})
-		if err := writeTrips(filepath.Join(*out, "fleet.json"), loadFleet); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("wrote fleet.json (%d trips) for stmaker-load\n", len(loadFleet))
-	}
 }
 
 func writeWorld(path string, city *simulate.City) error {

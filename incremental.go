@@ -12,9 +12,10 @@ import (
 // accumulated state into an immutable Model (BuildIncrementalModel) that
 // is published through the same atomic swap a batch Train uses. It holds
 // exactly the state a Model serializes — the corpus landmark sequences
-// and the historical feature map — so a model built from an accumulator
-// seeded with N trips is identical to one trained on those N trips in a
-// batch.
+// and the historical feature map. Train folds its corpus into a fresh
+// accumulator and builds its model the same way, so a model built from
+// an accumulator seeded with N trips is identical to one trained on
+// those N trips in a batch.
 //
 // An accumulator is not safe for concurrent use; the ingestion layer
 // serializes folds and freezes under its own lock.
@@ -42,6 +43,14 @@ func (s *Summarizer) NewHistoryAccumulator(base *Model) (*HistoryAccumulator, er
 			trips:   len(seqs),
 		}, nil
 	}
+	return s.emptyAccumulator(), nil
+}
+
+// emptyAccumulator starts a cold accumulator keyed to this summarizer's
+// feature registry. Categorical features aggregate by mode, not mean:
+// averaging category codes would produce values that match no real
+// category and poison the edit-distance comparison.
+func (s *Summarizer) emptyAccumulator() *HistoryAccumulator {
 	descs := s.registry.Descriptors()
 	fm := history.NewFeatureMap(len(descs))
 	for j, d := range descs {
@@ -49,7 +58,7 @@ func (s *Summarizer) NewHistoryAccumulator(base *Model) (*HistoryAccumulator, er
 			fm.MarkCategorical(j)
 		}
 	}
-	return &HistoryAccumulator{featMap: fm}, nil
+	return &HistoryAccumulator{featMap: fm}
 }
 
 // Trips returns the number of trips folded in, including any carried
@@ -77,9 +86,11 @@ func (a *HistoryAccumulator) Clone() *HistoryAccumulator {
 // AccumulateHistory folds one calibrated trip into acc: each segment's
 // feature vector joins the cumulative feature map and the landmark
 // sequence joins the popular-route corpus. Extraction runs in a private
-// feature context sharing the serving context's map resources (the same
-// discipline as trainSymbolic), so folded trips never grow the long-lived
-// serving edge cache.
+// feature context sharing the serving context's map resources:
+// extraction is deterministic given the same graph, matcher and
+// landmarks, and a private context keeps folded trips out of the
+// long-lived serving edge cache, so neither retrains nor ingestion grow
+// it.
 func (s *Summarizer) AccumulateHistory(acc *HistoryAccumulator, sym *traj.Symbolic) {
 	tctx := feature.NewContext(s.ctx.Graph, s.ctx.Matcher, s.ctx.Landmarks)
 	tctx.HMM = s.ctx.HMM
@@ -99,16 +110,19 @@ func (s *Summarizer) AccumulateHistory(acc *HistoryAccumulator, sym *traj.Symbol
 // accumulation must continue, freeze a Clone under the ingestion lock
 // and build from the clone.
 func (s *Summarizer) BuildIncrementalModel(acc *HistoryAccumulator) *Model {
-	stats := TrainStats{
-		Calibrated:  acc.trips,
-		Transitions: acc.featMap.NumEdges(),
-	}
-	// Compactions run continuously, so an HMM summarizer's overlay (a
-	// function of the graph alone) is carried forward from the serving
-	// model; only its very first compaction after a cold start pays the
-	// build. A greedy summarizer's models carry none.
-	overlay := s.routingOverlay(&stats)
+	return s.buildModel(acc, TrainStats{})
+}
+
+// buildModel builds every trained Model, Train's and each compaction's:
+// it freezes acc into an immutable, unpublished Model that takes
+// ownership of acc's state. stats carries the caller's own counts; the
+// trip and transition counts come from acc, and routingOverlay supplies
+// the routing overlay (reused from the serving model once one exists).
+func (s *Summarizer) buildModel(acc *HistoryAccumulator, stats TrainStats) *Model {
 	acc.featMap.Seal()
+	stats.Calibrated = acc.trips
+	stats.Transitions = acc.featMap.NumEdges()
+	overlay := s.routingOverlay(&stats)
 	return &Model{
 		featureKeys:             s.featureKeys(),
 		calibrationRadiusMeters: s.cfg.CalibrationRadiusMeters,

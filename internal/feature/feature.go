@@ -281,7 +281,7 @@ func (b *MatrixBuf) Matrix(n, dims int) []Vector {
 	if cap(b.flat) < n*dims {
 		b.flat = make([]float64, n*dims)
 	}
-	flat := b.flat[:n*dims:n*dims]
+	flat := b.flat[: n*dims : n*dims]
 	if cap(b.rows) < n {
 		b.rows = make([]Vector, n)
 	}

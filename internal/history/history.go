@@ -15,7 +15,6 @@ import (
 	"strings"
 	"sync"
 
-	"stmaker/internal/feature"
 	"stmaker/internal/traj"
 )
 
@@ -274,29 +273,6 @@ type FeatureMap struct {
 	// mean is the global mean precomputed by Seal; nil before Seal and
 	// after any later Add or AddAggregate.
 	mean []float64
-}
-
-// BuildFeatureMap extracts every feature of every segment of the corpus
-// and aggregates per landmark transition. The registry and context must
-// match those used at summarization time. Numeric features aggregate by
-// mean; categorical features (per the registry's descriptors) by mode —
-// averaging category codes would produce values that match no real
-// category and poison the edit-distance comparison.
-func BuildFeatureMap(corpus []*traj.Symbolic, reg *feature.Registry, ctx *feature.Context) *FeatureMap {
-	m := NewFeatureMap(reg.Len())
-	for j, d := range reg.Descriptors() {
-		if !d.Numeric {
-			m.MarkCategorical(j)
-		}
-	}
-	for _, s := range corpus {
-		for _, seg := range s.Segments() {
-			v := reg.Extract(seg, ctx)
-			m.Add(seg.From.Landmark, seg.To.Landmark, v)
-		}
-	}
-	m.Seal()
-	return m
 }
 
 // NewFeatureMap returns an empty map for dims features (all numeric), for

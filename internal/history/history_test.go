@@ -221,9 +221,18 @@ func TestBuildFeatureMapFromCorpus(t *testing.T) {
 			{Landmark: 1, T: r.End(), RawIndex: 4},
 		}}
 	}
-	corpus := []*traj.Symbolic{mk(30), mk(60)}
 	ctx := feature.NewContext(nil, nil, nil)
-	m := BuildFeatureMap(corpus, reg, ctx)
+	m := NewFeatureMap(reg.Len())
+	for j, d := range reg.Descriptors() {
+		if !d.Numeric {
+			m.MarkCategorical(j)
+		}
+	}
+	for _, sym := range []*traj.Symbolic{mk(30), mk(60)} {
+		for _, seg := range sym.Segments() {
+			m.Add(seg.From.Landmark, seg.To.Landmark, reg.Extract(seg, ctx))
+		}
+	}
 	r, ok := m.Regular(0, 1)
 	if !ok {
 		t.Fatal("edge 0→1 missing")

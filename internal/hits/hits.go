@@ -5,7 +5,11 @@
 // converged hub score of a landmark is its significance.
 package hits
 
-import "math"
+import (
+	"cmp"
+	"math"
+	"slices"
+)
 
 // Visit records that a traveller visited a landmark. Multiplicity matters:
 // repeated visits strengthen the link.
@@ -72,6 +76,11 @@ func Run(numTravellers, numLandmarks int, visits []Visit, opts Options) Scores {
 	for k, w := range weights {
 		edges = append(edges, edge{t: k[0], l: k[1], w: w})
 	}
+	// Map order is random; a fixed order makes the float sums below, and
+	// so every significance score, bit-deterministic.
+	slices.SortFunc(edges, func(a, b edge) int {
+		return cmp.Or(cmp.Compare(a.t, b.t), cmp.Compare(a.l, b.l))
+	})
 
 	for i := range hub {
 		hub[i] = 1.0 / float64(numLandmarks)

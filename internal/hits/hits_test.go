@@ -117,3 +117,23 @@ func TestDefaultsApplied(t *testing.T) {
 		t.Fatalf("defaults = %+v", o)
 	}
 }
+
+// TestRunIsBitDeterministic pins the summation order: significance feeds
+// the partition cost and the committed golden summaries, so two runs over
+// the same visits must agree to the last bit.
+func TestRunIsBitDeterministic(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	var visits []Visit
+	for i := 0; i < 3000; i++ {
+		visits = append(visits, Visit{Traveller: rng.Intn(200), Landmark: rng.Intn(150)})
+	}
+	want := Run(200, 150, visits, Options{})
+	for run := 0; run < 10; run++ {
+		got := Run(200, 150, visits, Options{})
+		for i := range want.LandmarkHub {
+			if math.Float64bits(got.LandmarkHub[i]) != math.Float64bits(want.LandmarkHub[i]) {
+				t.Fatalf("run %d: hub[%d] = %v, first run gave %v", run, i, got.LandmarkHub[i], want.LandmarkHub[i])
+			}
+		}
+	}
+}

@@ -80,9 +80,6 @@ type IngesterOptions struct {
 	TripFixLimit int
 	// SegmentBytes is the WAL roll threshold (default 4 MiB).
 	SegmentBytes int64
-	// Sanitize configures trip repair before folding; the zero value
-	// applies the default thresholds.
-	Sanitize sanitize.Options
 	// FS overrides the filesystem (fault injection); nil means the real
 	// one.
 	FS FS
@@ -181,7 +178,7 @@ func NewIngester(dir string, resolve func() (*stmaker.Summarizer, error), opts I
 		fs:            opts.FS,
 		log:           opts.Logger,
 		resolve:       resolve,
-		san:           sanitize.New(opts.Sanitize),
+		san:           sanitize.New(sanitize.Options{}),
 		limit:         opts.BufferFixes,
 		tripCap:       opts.TripFixLimit,
 		cFixes:        mx.Counter(MetricFixes),

@@ -10,7 +10,6 @@ import (
 
 	"stmaker"
 	"stmaker/internal/registry"
-	"stmaker/internal/sanitize"
 )
 
 // ServiceOptions configures the multi-region ingestion service.
@@ -20,12 +19,11 @@ type ServiceOptions struct {
 	// CompactInterval is how often Run compacts every region's knowledge
 	// into a published model (default 1 minute).
 	CompactInterval time.Duration
-	// BufferFixes, TripFixLimit, SegmentBytes and Sanitize are passed to
-	// every region's IngesterOptions.
+	// BufferFixes, TripFixLimit and SegmentBytes are passed to every
+	// region's IngesterOptions.
 	BufferFixes  int
 	TripFixLimit int
 	SegmentBytes int64
-	Sanitize     sanitize.Options
 	// FS overrides the filesystem (fault injection); nil means the real
 	// one.
 	FS FS
@@ -119,7 +117,6 @@ func (s *Service) Ingester(name string) (*Ingester, error) {
 		BufferFixes:  s.opts.BufferFixes,
 		TripFixLimit: s.opts.TripFixLimit,
 		SegmentBytes: s.opts.SegmentBytes,
-		Sanitize:     s.opts.Sanitize,
 		FS:           s.opts.FS,
 		Logger:       s.opts.Logger,
 		Metrics:      s.reg.RegionMetrics(name),

@@ -353,21 +353,31 @@ func TestEnergyValidation(t *testing.T) {
 
 func TestOptimalIsUnconstrainedMinimum(t *testing.T) {
 	// Optimal's energy must equal the minimum over all k of KPartition.
+	// With features and significance in [0, 1], the similarity is at
+	// least 0.5, so a Ca of 0.5 or less never cuts and the minimum is
+	// always k = 1. Ca is drawn from (0.5, 3] so the oracle also checks
+	// real cuts, and enough trials must cut for that to mean something.
 	rng := rand.New(rand.NewSource(31))
-	for trial := 0; trial < 30; trial++ {
+	const trials = 30
+	cut := 0
+	for trial := 0; trial < trials; trial++ {
+		opts := Options{Ca: 3 - 2.5*rng.Float64()}
 		n := 2 + rng.Intn(10)
 		in := Input{Features: make([][]float64, n), Significance: make([]float64, n)}
 		for i := 0; i < n; i++ {
 			in.Features[i] = []float64{rng.Float64(), rng.Float64()}
 			in.Significance[i] = rng.Float64()
 		}
-		opt, err := Optimal(in, Options{})
+		opt, err := Optimal(in, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(opt.Parts) > 1 {
+			cut++
+		}
 		best := math.Inf(1)
 		for k := 1; k <= n; k++ {
-			res, err := KPartition(in, k, Options{})
+			res, err := KPartition(in, k, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -376,8 +386,11 @@ func TestOptimalIsUnconstrainedMinimum(t *testing.T) {
 			}
 		}
 		if math.Abs(opt.Energy-best) > 1e-9 {
-			t.Fatalf("Optimal %v vs min-k %v", opt.Energy, best)
+			t.Fatalf("trial %d (Ca %.3f): Optimal %v vs min-k %v", trial, opts.Ca, opt.Energy, best)
 		}
+	}
+	if cut < 10 {
+		t.Fatalf("Optimal cut in only %d of %d trials; the oracle needs inputs where cuts pay", cut, trials)
 	}
 }
 

@@ -138,8 +138,8 @@ type Options struct {
 	MaxBytes int64
 	// NewSummarizer builds each region's summarizer; nil uses a plain
 	// stmaker.Config{Graph, Landmarks, Metrics}. cmd/stmakerd passes a
-	// closure carrying its pipeline flags (-no-sanitize, -hmm, ...) so
-	// every region runs the same pipeline configuration.
+	// closure carrying its pipeline configuration (input sanitization,
+	// -hmm) so every region runs the same pipeline.
 	NewSummarizer NewSummarizerFunc
 }
 

@@ -174,7 +174,7 @@ func TestRejectsUnusableTrajectory(t *testing.T) {
 func TestInputNeverMutated(t *testing.T) {
 	in := mkTraj(8)
 	in.Samples[3], in.Samples[5] = in.Samples[5], in.Samples[3] // out of order
-	in.Samples[6].Pt = geo.Point{Lat: 95} // invalid (and, unlike NaN, comparable)
+	in.Samples[6].Pt = geo.Point{Lat: 95}                       // invalid (and, unlike NaN, comparable)
 	snapshot := append([]traj.Sample(nil), in.Samples...)
 	if _, _, err := New(Options{}).Sanitize(in); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,8 @@ func benchBody(b *testing.B, v any) []byte {
 
 // BenchmarkServerSummarize measures one POST /summarize through the
 // full middleware + handler + pipeline path. allocs/op here is the
-// per-request server-side allocation count BENCH_serving.json tracks.
+// per-request server-side allocation count; the end-to-end figure is
+// bench/'s allocs_per_item.
 func BenchmarkServerSummarize(b *testing.B) {
 	srv, trip := testServer(b)
 	body := benchBody(b, SummarizeRequest{Trajectory: trip})

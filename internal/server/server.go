@@ -130,11 +130,6 @@ func DiscardLogger() *slog.Logger {
 	return slog.New(slog.NewTextHandler(io.Discard, nil))
 }
 
-// New builds a server with default options.
-func New(s *stmaker.Summarizer) (*Server, error) {
-	return NewWithOptions(s, Options{})
-}
-
 // NewWithOptions builds a server. The summarizer's metrics registry is
 // shared with the HTTP middleware so one GET /metrics snapshot covers
 // both pipeline stages and request traffic. The summarizer need not be

@@ -82,7 +82,7 @@ func post(t *testing.T, srv *Server, path string, body interface{}) *httptest.Re
 // server may be built before any model is published, but it advertises
 // not-ready and answers summarization with 503 until one lands.
 func TestNewAcceptsUntrainedSummarizer(t *testing.T) {
-	if _, err := New(nil); err == nil {
+	if _, err := NewWithOptions(nil, Options{}); err == nil {
 		t.Error("nil summarizer accepted")
 	}
 	city := simulate.NewCity(simulate.CityOptions{Rows: 5, Cols: 5, Seed: 1})
@@ -90,7 +90,7 @@ func TestNewAcceptsUntrainedSummarizer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	srv, err := New(s)
+	srv, err := NewWithOptions(s, Options{})
 	if err != nil {
 		t.Fatalf("untrained summarizer rejected: %v", err)
 	}

@@ -74,8 +74,9 @@ func (m *Model) FeatureKeys() []string {
 }
 
 // Stats returns the corpus statistics of the Train call that built the
-// model (zeroes for models assembled via TrainSymbolic, except
-// Transitions).
+// model. For a model built by a compaction (BuildIncrementalModel),
+// Calibrated counts the accumulated trips and the skip and repair counts
+// are zero.
 func (m *Model) Stats() TrainStats { return m.stats }
 
 // NumTransitions returns the number of annotated landmark transitions in

@@ -131,7 +131,7 @@ func TestRetrainFullReplace(t *testing.T) {
 		t.Errorf("retrained transitions = %d, fresh train = %d (merge leak?)",
 			stats.Transitions, freshStats.Transitions)
 	}
-	if got, want := len(s.Popular().Sequences()), len(fresh.Popular().Sequences()); got != want {
+	if got, want := len(s.Model().Popular().Sequences()), len(fresh.Model().Popular().Sequences()); got != want {
 		t.Errorf("retrained popular sequences = %d, fresh train = %d", got, want)
 	}
 

@@ -52,9 +52,9 @@ func calmCorpus(city *simulate.City, n int, seed int64) []*traj.Raw {
 // Noise kinds injected by corruptTrip, cycling through the degraded
 // input real trackers produce.
 const (
-	noiseShuffled = iota // two timestamps swapped: fails Validate
-	noiseDuplicated      // a fix repeated twice at the same instant
-	noiseTeleport        // one fix jumps 100 km off-route
+	noiseShuffled   = iota // two timestamps swapped: fails Validate
+	noiseDuplicated        // a fix repeated twice at the same instant
+	noiseTeleport          // one fix jumps 100 km off-route
 	noiseKinds
 )
 
@@ -188,7 +188,7 @@ func TestSummarizeContextCancellation(t *testing.T) {
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := repairing.SummarizeContext(ctx, trip); !errors.Is(err, context.Canceled) {
+	if _, err := repairing.SummarizeKContext(ctx, trip, 0); !errors.Is(err, context.Canceled) {
 		t.Errorf("cancelled context: err = %v, want context.Canceled", err)
 	}
 
@@ -206,7 +206,7 @@ func TestSummarizeContextCancellation(t *testing.T) {
 	// or DeadlineExceeded) is legal, anything else is a bug.
 	tight, cancel3 := context.WithTimeout(context.Background(), 50*time.Microsecond)
 	defer cancel3()
-	if _, err := repairing.SummarizeContext(tight, trip); err != nil && !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := repairing.SummarizeKContext(tight, trip, 0); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		t.Errorf("tight deadline: unexpected error class: %v", err)
 	}
 }

@@ -35,7 +35,6 @@ import (
 
 	"stmaker/internal/calibrate"
 	"stmaker/internal/feature"
-	"stmaker/internal/history"
 	"stmaker/internal/irregular"
 	"stmaker/internal/landmark"
 	"stmaker/internal/metrics"
@@ -397,15 +396,16 @@ func (s *Summarizer) Calibrate(r *traj.Raw) (*traj.Symbolic, error) {
 // requests see either the old knowledge or the new, never a mix.
 //
 // Calibration of the corpus is embarrassingly parallel and runs across
-// GOMAXPROCS goroutines; the aggregation in trainSymbolic stays
-// single-writer. Corpus order is preserved, so Train
-// is deterministic regardless of worker count.
+// GOMAXPROCS goroutines; the calibrated trips are then folded, in corpus
+// order, into a fresh HistoryAccumulator, and the model is built the way
+// a streaming compaction builds one. Train is therefore deterministic
+// regardless of worker count.
 func (s *Summarizer) Train(corpus []*traj.Raw) (TrainStats, error) {
 	defer s.timers.train.ObserveSince(time.Now())
 	calibrated, reports := s.calibrateCorpus(corpus)
 
 	var stats TrainStats
-	symbolic := make([]*traj.Symbolic, 0, len(corpus))
+	acc := s.emptyAccumulator()
 	for i, sym := range calibrated {
 		stats.Repairs.Merge(reports[i])
 		if !reports[i].Clean() {
@@ -415,21 +415,17 @@ func (s *Summarizer) Train(corpus []*traj.Raw) (TrainStats, error) {
 			stats.Skipped++
 			continue
 		}
-		symbolic = append(symbolic, sym)
-		stats.Calibrated++
+		s.AccumulateHistory(acc, sym)
 	}
-	s.mx.Counter(MetricTrainCalibrated).Add(int64(stats.Calibrated))
+	s.mx.Counter(MetricTrainCalibrated).Add(int64(acc.trips))
 	s.mx.Counter(MetricTrainSkipped).Add(int64(stats.Skipped))
 	if n := stats.Repairs.Repairs(); n > 0 {
 		s.mx.Counter(MetricSanitizeRepairs).Add(int64(n))
 	}
-	if len(symbolic) == 0 {
+	if acc.trips == 0 {
 		return stats, errors.New("stmaker: no corpus trajectory could be calibrated")
 	}
-	m := s.trainSymbolic(symbolic, stats)
-	stats.Transitions = m.stats.Transitions
-	stats.OverlayBuildSeconds = m.stats.OverlayBuildSeconds
-	return stats, nil
+	return s.publish(*s.buildModel(acc, stats)).stats, nil
 }
 
 // calibrateCorpus sanitizes (when configured) and calibrates every corpus
@@ -479,38 +475,6 @@ func (s *Summarizer) calibrateCorpus(corpus []*traj.Raw) ([]*traj.Symbolic, []sa
 	return out, reports
 }
 
-// TrainSymbolic learns from pre-calibrated trajectories and publishes the
-// resulting Model, which it returns. Like Train, it fully replaces any
-// previous knowledge and is safe to call while Summarize traffic is in
-// flight.
-func (s *Summarizer) TrainSymbolic(corpus []*traj.Symbolic) *Model {
-	return s.trainSymbolic(corpus, TrainStats{Calibrated: len(corpus)})
-}
-
-// trainSymbolic builds the knowledge snapshot off to the side and
-// publishes it. Feature extraction runs in a private context sharing the
-// serving context's map resources: extraction is deterministic given the
-// same graph, matcher and landmarks, and a private context keeps the
-// corpus segments out of the long-lived serving edge cache, so repeated
-// live retrains don't accumulate memory.
-func (s *Summarizer) trainSymbolic(corpus []*traj.Symbolic, stats TrainStats) *Model {
-	tctx := feature.NewContext(s.ctx.Graph, s.ctx.Matcher, s.ctx.Landmarks)
-	tctx.HMM = s.ctx.HMM
-	tctx.MatchRadiusMeters = s.ctx.MatchRadiusMeters
-	featMap := history.BuildFeatureMap(corpus, s.registry, tctx)
-	stats.Transitions = featMap.NumEdges()
-	overlay := s.routingOverlay(&stats)
-	return s.publish(Model{
-		featureKeys:             s.featureKeys(),
-		calibrationRadiusMeters: s.cfg.CalibrationRadiusMeters,
-		minAnchorSpacingMeters:  s.cfg.MinAnchorSpacingMeters,
-		stats:                   stats,
-		popular:                 history.BuildPopular(corpus),
-		featMap:                 featMap,
-		overlay:                 overlay,
-	})
-}
-
 // routingOverlay returns the ALT overlay for the model being assembled:
 // nil without an HMM matcher (the overlay's only consumer), the previous
 // model's overlay when one is already serving (the graph is fixed per
@@ -533,26 +497,8 @@ func (s *Summarizer) routingOverlay(stats *TrainStats) *roadnet.Overlay {
 }
 
 // Trained reports whether a knowledge model has been published (via
-// Train, TrainSymbolic or LoadModel).
+// Train or LoadModel).
 func (s *Summarizer) Trained() bool { return s.model.Load() != nil }
-
-// Popular exposes the current model's popular-route knowledge (nil
-// before the first Train/LoadModel).
-func (s *Summarizer) Popular() *history.Popular {
-	if m := s.model.Load(); m != nil {
-		return m.popular
-	}
-	return nil
-}
-
-// FeatureMap exposes the current model's historical feature map (nil
-// before the first Train/LoadModel).
-func (s *Summarizer) FeatureMap() *history.FeatureMap {
-	if m := s.model.Load(); m != nil {
-		return m.featMap
-	}
-	return nil
-}
 
 // WithWeights returns a summarizer that shares this one's map resources
 // and trained knowledge but applies different feature weights — the cheap
@@ -598,18 +544,12 @@ func (s *Summarizer) SummarizeK(r *traj.Raw, k int) (*summarize.Summary, error) 
 	return s.SummarizeKContext(context.Background(), r, k)
 }
 
-// SummarizeContext is Summarize with cancellation: the pipeline checks
+// SummarizeKContext is SummarizeK with cancellation: the pipeline checks
 // ctx between stages (calibrate → extract → partition → select → render)
 // and aborts with ctx.Err() as soon as the deadline passes or the caller
-// cancels. Serving paths use it to bound per-request work.
-func (s *Summarizer) SummarizeContext(ctx context.Context, r *traj.Raw) (*summarize.Summary, error) {
-	return s.SummarizeKContext(ctx, r, s.cfg.K)
-}
-
-// SummarizeKContext is SummarizeK with cancellation (see
-// SummarizeContext). Input-shaped failures — sanitizer rejections and
-// calibration errors — wrap ErrInvalidInput so servers can map them to a
-// client error; cancellation surfaces as ctx.Err().
+// cancels. Serving paths use it to bound per-request work. Input-shaped
+// failures — sanitizer rejections and calibration errors — wrap
+// ErrInvalidInput so servers can map them to a client error.
 func (s *Summarizer) SummarizeKContext(ctx context.Context, r *traj.Raw, k int) (*summarize.Summary, error) {
 	if err := s.checkCtx(ctx); err != nil {
 		return nil, err
@@ -638,12 +578,6 @@ func (s *Summarizer) SummarizeKContext(ctx context.Context, r *traj.Raw, k int) 
 // realization on an already-calibrated trajectory.
 func (s *Summarizer) SummarizeSymbolic(sym *traj.Symbolic, k int) (*summarize.Summary, error) {
 	return s.summarizeSymbolic(context.Background(), sym, k)
-}
-
-// SummarizeSymbolicContext is SummarizeSymbolic with per-stage
-// cancellation checks (see SummarizeContext).
-func (s *Summarizer) SummarizeSymbolicContext(ctx context.Context, sym *traj.Symbolic, k int) (*summarize.Summary, error) {
-	return s.summarizeSymbolic(ctx, sym, k)
 }
 
 // checkCtx is the between-stages cancellation checkpoint: expired or

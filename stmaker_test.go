@@ -31,13 +31,7 @@ func newWorld(t testing.TB, cfgMut func(*Config)) (*simulate.City, *Summarizer) 
 	if err != nil {
 		t.Fatal(err)
 	}
-	train := simulate.GenerateFleet(city, simulate.FleetOptions{
-		NumTrips: 120, Seed: 23, FixedHour: -1, Calm: true,
-	})
-	corpus := make([]*traj.Raw, 0, len(train))
-	for _, tr := range train {
-		corpus = append(corpus, tr.Raw)
-	}
+	corpus := newWorldCorpus(city)
 	stats, err := s.Train(corpus)
 	if err != nil {
 		t.Fatal(err)
@@ -49,6 +43,13 @@ func newWorld(t testing.TB, cfgMut func(*Config)) (*simulate.City, *Summarizer) 
 		t.Fatal("empty historical feature map")
 	}
 	return city, s
+}
+
+// newWorldCorpus is the calm training corpus newWorld trains on.
+func newWorldCorpus(city *simulate.City) []*traj.Raw {
+	return rawCorpus(simulate.GenerateFleet(city, simulate.FleetOptions{
+		NumTrips: 120, Seed: 23, FixedHour: -1, Calm: true,
+	}))
 }
 
 func eventfulTrip(t testing.TB, city *simulate.City, seed int64) *simulate.Trip {
@@ -386,7 +387,7 @@ func TestAccessorsAndClones(t *testing.T) {
 	if !s.Trained() {
 		t.Fatal("Trained should be true")
 	}
-	if s.Popular() == nil || s.FeatureMap() == nil {
+	if s.Model().Popular() == nil || s.Model().FeatureMap() == nil {
 		t.Fatal("trained knowledge accessors returned nil")
 	}
 	if s.Templates() == nil {
@@ -434,9 +435,9 @@ func TestAccessorsAndClones(t *testing.T) {
 
 func TestFlattenHistoryForAblationOnSummarizer(t *testing.T) {
 	_, s := newWorld(t, nil)
-	before := s.FeatureMap().NumEdges()
+	before := s.Model().FeatureMap().NumEdges()
 	s.FlattenHistoryForAblation()
-	if s.FeatureMap().NumEdges() != before {
+	if s.Model().FeatureMap().NumEdges() != before {
 		t.Fatal("flattening changed the edge set")
 	}
 	// Every transition now carries the identical regular vector.
@@ -444,7 +445,7 @@ func TestFlattenHistoryForAblationOnSummarizer(t *testing.T) {
 	count := 0
 	for a := 0; a < 50 && count < 3; a++ {
 		for b := 0; b < 50 && count < 3; b++ {
-			r, ok := s.FeatureMap().Regular(a, b)
+			r, ok := s.Model().FeatureMap().Regular(a, b)
 			if !ok {
 				continue
 			}

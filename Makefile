@@ -1,7 +1,7 @@
 # Tier-1 gate: every change must keep `make check` green.
-.PHONY: check build vet lint test bench bench-check bench-smoke bench-routing fuzz-smoke ingest-soak
+.PHONY: check build vet lint test allocs bench bench-check bench-smoke bench-routing fuzz-smoke ingest-soak
 
-check: build vet lint test
+check: build vet lint test allocs
 
 build:
 	go build ./...
@@ -26,6 +26,11 @@ lint:
 
 test:
 	go test -race ./...
+
+# The allocation guards (Test*Allocs) skip under -race, whose sync.Pool
+# drops pooled scratch at random, so they get a run of their own.
+allocs:
+	go test -count=1 -run 'Allocs$$' ./...
 
 bench:
 	go test -bench=. -benchmem ./...
@@ -62,6 +67,7 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=15s ./internal/ingest
 	go test -run='^$$' -fuzz=FuzzIngestNDJSON -fuzztime=15s ./internal/server
 	go test -run='^$$' -fuzz=FuzzALTEquivalence -fuzztime=15s ./internal/roadnet
+	go test -run='^$$' -fuzz=FuzzWithinEquivalence -fuzztime=15s ./internal/spatial
 
 # End-to-end ingestion soak: a simulated fleet streamed through the real
 # HTTP ingest path with one crash/recovery cycle in the middle, asserting

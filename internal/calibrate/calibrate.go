@@ -10,13 +10,16 @@
 package calibrate
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"sync"
 	"time"
 
 	"stmaker/internal/geo"
 	"stmaker/internal/landmark"
+	"stmaker/internal/spatial"
 	"stmaker/internal/traj"
 )
 
@@ -69,6 +72,26 @@ type anchor struct {
 	rawIndex   int
 }
 
+// byAlong orders anchors by along-route position, then landmark ID.
+func byAlong(a, b anchor) int {
+	if c := cmp.Compare(a.along, b.along); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.landmarkID, b.landmarkID)
+}
+
+// scratch is one calibration's working memory: the landmark hits of the
+// current raw segment, the anchors, and the anchors regrouped by
+// landmark for dedupeAnchors. It is pooled, so a warm Calibrate
+// allocates only the symbolic trajectory it returns.
+type scratch struct {
+	hits    []spatial.Result
+	anchors []anchor
+	byLm    []anchor
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
 // Calibrate rewrites a raw trajectory into a symbolic trajectory. The
 // returned trajectory has Raw set to r. It returns ErrTooFewAnchors when
 // fewer than two landmark visits are found.
@@ -77,25 +100,27 @@ func (c *Calibrator) Calibrate(r *traj.Raw) (*traj.Symbolic, error) {
 		return nil, fmt.Errorf("calibrate: %w", err)
 	}
 
-	anchors := c.collectAnchors(r)
-	anchors = dedupeAnchors(anchors, c.opts.RevisitGapMeters)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	anchors := c.collectAnchors(sc, r)
+	anchors = dedupeAnchors(sc, anchors, c.opts.RevisitGapMeters)
 	anchors = enforceSpacing(anchors, c.opts.MinSpacingMeters)
 	if len(anchors) < 2 {
 		return nil, ErrTooFewAnchors
 	}
 
-	s := &traj.Symbolic{ID: r.ID, Raw: r}
-	for _, a := range anchors {
-		s.Visits = append(s.Visits, traj.Visit{Landmark: a.landmarkID, T: a.t, RawIndex: a.rawIndex})
+	s := &traj.Symbolic{ID: r.ID, Raw: r, Visits: make([]traj.Visit, len(anchors))}
+	for i, a := range anchors {
+		s.Visits[i] = traj.Visit{Landmark: a.landmarkID, T: a.t, RawIndex: a.rawIndex}
 	}
 	return s, nil
 }
 
 // collectAnchors finds, for every raw polyline segment, the landmarks
 // within the calibration radius, and records each hit with its along-route
-// position and interpolated passing time.
-func (c *Calibrator) collectAnchors(r *traj.Raw) []anchor {
-	var anchors []anchor
+// position and interpolated passing time. The anchors live in sc.
+func (c *Calibrator) collectAnchors(sc *scratch, r *traj.Raw) []anchor {
+	anchors := sc.anchors[:0]
 	var walked float64
 	for i := 0; i+1 < len(r.Samples); i++ {
 		a, b := r.Samples[i], r.Samples[i+1]
@@ -103,8 +128,9 @@ func (c *Calibrator) collectAnchors(r *traj.Raw) []anchor {
 		// Landmarks within radius of any point of the segment lie within
 		// radius + segLen/2 of its midpoint.
 		searchR := c.opts.RadiusMeters + segLen/2
-		for _, lm := range c.set.Within(geo.Midpoint(a.Pt, b.Pt), searchR) {
-			d, t := geo.PointSegmentDistance(lm.Pt, a.Pt, b.Pt)
+		sc.hits = c.set.AppendWithin(sc.hits[:0], geo.Midpoint(a.Pt, b.Pt), searchR)
+		for _, lm := range sc.hits {
+			d, t := geo.PointSegmentDistance(lm.Point, a.Pt, b.Pt)
 			if d > c.opts.RadiusMeters {
 				continue
 			}
@@ -122,28 +148,29 @@ func (c *Calibrator) collectAnchors(r *traj.Raw) []anchor {
 		}
 		walked += segLen
 	}
-	sort.Slice(anchors, func(i, j int) bool {
-		if anchors[i].along != anchors[j].along { //lint:allow floateq -- sort comparator: exact tie-break on equal keys is intended
-			return anchors[i].along < anchors[j].along
-		}
-		return anchors[i].landmarkID < anchors[j].landmarkID
-	})
+	slices.SortFunc(anchors, byAlong)
+	sc.anchors = anchors
 	return anchors
 }
 
 // dedupeAnchors merges repeated detections of the same landmark whose
 // along-route positions are within revisitGap, keeping the closest
-// detection of each pass. Distinct passes (loops) survive.
-func dedupeAnchors(anchors []anchor, revisitGap float64) []anchor {
-	// Group by landmark, then split each group into passes.
-	byLm := make(map[int][]anchor)
-	for _, a := range anchors {
-		byLm[a.landmarkID] = append(byLm[a.landmarkID], a)
-	}
-	var out []anchor
-	for _, group := range byLm {
-		// group is in along order (stable from the pre-sorted input per
-		// landmark since map grouping preserves slice order).
+// detection of each pass. Distinct passes (loops) survive. The result
+// overwrites anchors; sc holds the regrouped copy.
+func dedupeAnchors(sc *scratch, anchors []anchor, revisitGap float64) []anchor {
+	// Group by landmark, then split each group into passes. The stable
+	// sort keeps each group in the input's along order.
+	byLm := append(sc.byLm[:0], anchors...)
+	slices.SortStableFunc(byLm, func(a, b anchor) int { return cmp.Compare(a.landmarkID, b.landmarkID) })
+	sc.byLm = byLm
+	out := anchors[:0]
+	for len(byLm) > 0 {
+		n := 1
+		for n < len(byLm) && byLm[n].landmarkID == byLm[0].landmarkID {
+			n++
+		}
+		group := byLm[:n]
+		byLm = byLm[n:]
 		start := 0
 		for i := 1; i <= len(group); i++ {
 			if i == len(group) || group[i].along-group[i-1].along > revisitGap {
@@ -159,14 +186,11 @@ func dedupeAnchors(anchors []anchor, revisitGap float64) []anchor {
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].along != out[j].along { //lint:allow floateq -- sort comparator: exact tie-break on equal keys is intended
-			return out[i].along < out[j].along
-		}
-		return out[i].landmarkID < out[j].landmarkID
-	})
+	// Passes of one landmark lie more than revisitGap apart, so no two
+	// kept anchors tie on (along, landmark) and the order is unique.
+	slices.SortFunc(out, byAlong)
 	// Finally drop immediate duplicates (same landmark twice in a row).
-	var final []anchor
+	final := out[:0]
 	for _, a := range out {
 		if len(final) > 0 && final[len(final)-1].landmarkID == a.landmarkID {
 			continue
@@ -178,22 +202,22 @@ func dedupeAnchors(anchors []anchor, revisitGap float64) []anchor {
 
 // enforceSpacing drops anchors closer along the route than minSpacing to
 // the previously kept anchor. The first and last anchors are always kept
-// so the trajectory endpoints remain anchored.
+// so the trajectory endpoints remain anchored. It compacts anchors in
+// place.
 func enforceSpacing(anchors []anchor, minSpacing float64) []anchor {
 	if minSpacing <= 0 || len(anchors) <= 2 {
 		return anchors
 	}
-	out := []anchor{anchors[0]}
+	last := anchors[len(anchors)-1]
+	out := anchors[:1]
 	for i := 1; i < len(anchors)-1; i++ {
 		if anchors[i].along-out[len(out)-1].along >= minSpacing {
 			out = append(out, anchors[i])
 		}
 	}
-	last := anchors[len(anchors)-1]
 	if last.along-out[len(out)-1].along < minSpacing && len(out) > 1 {
 		// Replace the final kept interior anchor to make room for the end.
 		out = out[:len(out)-1]
 	}
-	out = append(out, last)
-	return out
+	return append(out, last)
 }

@@ -34,16 +34,18 @@ func Cluster(points []geo.Point, eps float64, minPts int) Result {
 		return Result{Labels: labels}
 	}
 
-	refLat := points[0].Lat
-	ix := spatial.NewIndex(eps, refLat)
+	items := make([]spatial.Item, n)
 	for i, p := range points {
-		ix.Insert(i, p)
+		items[i] = spatial.Item{ID: i, Point: p}
 	}
-	neighbours := func(i int) []int {
-		hits := ix.Within(points[i], eps)
-		ids := make([]int, len(hits))
-		for k, h := range hits {
-			ids[k] = h.ID
+	ix := spatial.NewIndex(eps, items)
+	// hits is reused by every neighbourhood query; a query's IDs are
+	// appended to the caller's list before the next one runs.
+	var hits []spatial.Result
+	appendNeighbours := func(ids []int, i int) []int {
+		hits = ix.AppendWithin(hits[:0], points[i], eps)
+		for _, h := range hits {
+			ids = append(ids, h.ID)
 		}
 		return ids
 	}
@@ -55,7 +57,7 @@ func Cluster(points []geo.Point, eps float64, minPts int) Result {
 			continue
 		}
 		visited[i] = true
-		seeds := neighbours(i)
+		seeds := appendNeighbours(nil, i)
 		if len(seeds) < minPts {
 			continue // noise (may be claimed as a border point later)
 		}
@@ -72,9 +74,11 @@ func Cluster(points []geo.Point, eps float64, minPts int) Result {
 				continue
 			}
 			visited[j] = true
-			more := neighbours(j)
-			if len(more) >= minPts {
-				seeds = append(seeds, more...)
+			// j's neighbourhood joins the seeds only when j is a core
+			// point; otherwise it is cut off again.
+			base := len(seeds)
+			if seeds = appendNeighbours(seeds, j); len(seeds)-base < minPts {
+				seeds = seeds[:base]
 			}
 		}
 	}

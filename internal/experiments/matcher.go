@@ -55,7 +55,7 @@ func MatcherAccuracy(w *World, n int, noiseMeters float64) (*MatcherAccuracyResu
 			}
 		}
 		for _, m := range hmm.MatchPoints(pts) {
-			if m != nil && truth[m.Edge.ID] {
+			if m.Edge != nil && truth[m.Edge.ID] {
 				hmmHits++
 			}
 		}

@@ -64,15 +64,12 @@ type Set struct {
 func NewSet(landmarks []Landmark) *Set {
 	s := &Set{landmarks: make([]Landmark, len(landmarks))}
 	copy(s.landmarks, landmarks)
-	refLat := 0.0
-	if len(landmarks) > 0 {
-		refLat = landmarks[0].Pt.Lat
-	}
-	s.ix = spatial.NewIndex(300, refLat)
+	items := make([]spatial.Item, len(landmarks))
 	for i := range s.landmarks {
 		s.landmarks[i].ID = i
-		s.ix.Insert(i, s.landmarks[i].Pt)
+		items[i] = spatial.Item{ID: i, Point: s.landmarks[i].Pt}
 	}
+	s.ix = spatial.NewIndex(300, items)
 	return s
 }
 
@@ -155,14 +152,12 @@ func (s *Set) Nearest(p geo.Point, maxDist float64) (Landmark, bool) {
 	return s.landmarks[r.ID], true
 }
 
-// Within returns the landmarks within radius metres of p, nearest first.
-func (s *Set) Within(p geo.Point, radius float64) []Landmark {
-	hits := s.ix.Within(p, radius)
-	out := make([]Landmark, len(hits))
-	for i, h := range hits {
-		out[i] = s.landmarks[h.ID]
-	}
-	return out
+// AppendWithin appends the landmarks within radius metres of p to dst,
+// nearest first, and returns the extended slice. Each hit carries the
+// landmark's ID, point and distance; Get returns the rest. With a
+// reused dst, the query allocates nothing.
+func (s *Set) AppendWithin(dst []spatial.Result, p geo.Point, radius float64) []spatial.Result {
+	return s.ix.AppendWithin(dst, p, radius)
 }
 
 // InferSignificance runs the HITS-like inference (§IV-B) over the given

@@ -78,9 +78,9 @@ func TestNearestAndWithin(t *testing.T) {
 	if _, ok := s.Nearest(geo.Destination(base, 0, 5000), 100); ok {
 		t.Fatal("Nearest should miss far points")
 	}
-	within := s.Within(base, 500)
-	if len(within) != 2 || within[0].Name != "a" || within[1].Name != "b" {
-		t.Fatalf("Within = %+v", within)
+	within := s.AppendWithin(nil, base, 500)
+	if len(within) != 2 || s.Get(within[0].ID).Name != "a" || s.Get(within[1].ID).Name != "b" {
+		t.Fatalf("AppendWithin = %+v", within)
 	}
 }
 

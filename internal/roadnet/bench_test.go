@@ -210,7 +210,11 @@ func BenchmarkHMMMatch100PointsCached(b *testing.B) {
 func benchStepCandidates(h *HMMMatcher) (prev, next []candidate, straight float64) {
 	pa := geo.Destination(geo.Destination(testOrigin, 90, 390), 0, 12)
 	pb := geo.Destination(geo.Destination(testOrigin, 90, 455), 0, 9)
-	return h.candidates(pa), h.candidates(pb), geo.Distance(pa, pb)
+	sc := &stepScratch{}
+	h.appendStep(sc, pa)
+	n := len(sc.cands)
+	h.appendStep(sc, pb)
+	return sc.cands[:n], sc.cands[n:], geo.Distance(pa, pb)
 }
 
 // BenchmarkNetworkDistanceNaive scores one full Viterbi transition step

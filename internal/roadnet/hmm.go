@@ -106,6 +106,11 @@ func (h *HMMMatcher) SetRouter(r Router) {
 // Router returns the engine currently behind transition scoring.
 func (h *HMMMatcher) Router() Router { return h.rt.Load().r }
 
+// Matcher returns the nearest-edge matcher whose index supplies the
+// candidate edges, so a caller that also matches greedily can share the
+// one edge index instead of building a second.
+func (h *HMMMatcher) Matcher() *Matcher { return h.m }
+
 // newNaiveHMMMatcher builds a matcher whose transitions use the
 // pre-optimization per-pair searches — the reference implementation that
 // the fast path must reproduce byte for byte (see hmm_equiv_test.go).
@@ -123,16 +128,20 @@ type candidate struct {
 }
 
 // MatchPoints returns, for each input point, the matched edge under the
-// maximum-likelihood joint assignment, or nil entries where no candidate
-// was within range. A break in candidates restarts the chain, as Newson &
-// Krumm prescribe for gaps.
-func (h *HMMMatcher) MatchPoints(points []geo.Point) []*Match {
-	out := make([]*Match, len(points))
+// maximum-likelihood joint assignment, or a zero Match (nil Edge) where
+// no candidate was within range. A break in candidates restarts the
+// chain, as Newson & Krumm prescribe for gaps. The returned slice is the
+// call's only allocation once the scratch pool and the distance cache
+// are warm.
+func (h *HMMMatcher) MatchPoints(points []geo.Point) []Match {
+	out := make([]Match, len(points))
+	sc := acquireStepScratch()
+	defer releaseStepScratch(sc)
 	start := 0
 	for start < len(points) {
-		end := h.decodeRun(points, start, out)
+		end := h.decodeRun(sc, points, start, out)
 		if end == start {
-			start++ // unmatchable point: leave nil, move on
+			start++ // unmatchable point: leave it zero, move on
 			continue
 		}
 		start = end
@@ -143,30 +152,23 @@ func (h *HMMMatcher) MatchPoints(points []geo.Point) []*Match {
 // decodeRun Viterbi-decodes the maximal run of consecutive points with
 // candidates beginning at start, fills the output, and returns the index
 // one past the run. It returns start when the first point has no
-// candidates.
-func (h *HMMMatcher) decodeRun(points []geo.Point, start int, out []*Match) int {
-	cands := h.candidates(points[start])
-	if len(cands) == 0 {
+// candidates. The lattice lives in sc: step s's candidates are
+// sc.cands[sc.bounds[s]:sc.bounds[s+1]], and sc.back[k] is the index,
+// within the previous step, of candidate k's best predecessor.
+func (h *HMMMatcher) decodeRun(sc *stepScratch, points []geo.Point, start int, out []Match) int {
+	sc.cands, sc.bounds, sc.back = sc.cands[:0], append(sc.bounds[:0], 0), sc.back[:0]
+	if !h.appendStep(sc, points[start]) {
 		return start
 	}
-	// Viterbi state: best log-prob to each current candidate, with
-	// backpointers per step.
-	type step struct {
-		cands []candidate
-		back  []int
-	}
-	steps := []step{{cands: cands, back: make([]int, len(cands))}}
-	probs := make([]float64, len(cands))
-	for i, c := range cands {
-		probs[i] = c.emission
-		steps[0].back[i] = -1
+	// Viterbi state: best log-prob to each current candidate.
+	probs, next := sc.probs[:0], sc.next[:0]
+	for _, c := range sc.cands {
+		probs = append(probs, c.emission)
+		sc.back = append(sc.back, -1)
 	}
 
-	var sc *stepScratch
 	var rt Router
 	if !h.naive {
-		sc = acquireStepScratch()
-		defer releaseStepScratch(sc)
 		// One engine snapshot per decode run: a concurrent SetRouter never
 		// mixes engines within a run (and would be harmless if it did —
 		// engines are exact).
@@ -175,26 +177,26 @@ func (h *HMMMatcher) decodeRun(points []geo.Point, start int, out []*Match) int 
 
 	end := start + 1
 	for ; end < len(points); end++ {
-		next := h.candidates(points[end])
-		if len(next) == 0 {
+		if !h.appendStep(sc, points[end]) {
 			break
 		}
-		prev := steps[len(steps)-1]
+		s := len(sc.bounds) - 2
+		prev := sc.cands[sc.bounds[s-1]:sc.bounds[s]]
+		cur := sc.cands[sc.bounds[s]:sc.bounds[s+1]]
 		straight := geo.Distance(points[end-1], points[end])
-		if sc != nil {
+		if !h.naive {
 			// Fast path: one bounded multi-target search per distinct
 			// candidate endpoint node (≤ 2·MaxCandidates, cache misses
 			// only) replaces the naive 4 × |prev| × |next| point-to-point
 			// searches of this step.
-			h.buildStepTable(rt, sc, prev.cands, next, straight)
+			h.buildStepTable(rt, sc, prev, cur, straight)
 		}
-		nextProbs := make([]float64, len(next))
-		back := make([]int, len(next))
-		for j, nc := range next {
+		next = next[:0]
+		for _, nc := range cur {
 			best, bestFrom := math.Inf(-1), -1
-			for i, pc := range prev.cands {
+			for i, pc := range prev {
 				var trans float64
-				if sc != nil {
+				if !h.naive {
 					trans = h.transitionFast(sc, pc.match, nc.match, straight)
 				} else {
 					trans = h.transition(pc.match, nc.match, straight)
@@ -203,12 +205,12 @@ func (h *HMMMatcher) decodeRun(points []geo.Point, start int, out []*Match) int 
 					best, bestFrom = p, i
 				}
 			}
-			nextProbs[j] = best + nc.emission
-			back[j] = bestFrom
+			next = append(next, best+nc.emission)
+			sc.back = append(sc.back, bestFrom)
 		}
-		steps = append(steps, step{cands: next, back: back})
-		probs = nextProbs
+		probs, next = next, probs
 	}
+	sc.probs, sc.next = probs, next
 
 	// Backtrace from the best final state.
 	bestJ := 0
@@ -217,24 +219,29 @@ func (h *HMMMatcher) decodeRun(points []geo.Point, start int, out []*Match) int 
 			bestJ = j
 		}
 	}
-	for s := len(steps) - 1; s >= 0; s-- {
-		m := steps[s].cands[bestJ].match
-		out[start+s] = &m
-		bestJ = steps[s].back[bestJ]
+	for s := len(sc.bounds) - 2; s >= 0; s-- {
+		k := sc.bounds[s] + bestJ
+		out[start+s] = sc.cands[k].match
+		bestJ = sc.back[k]
 	}
 	return end
 }
 
-// candidates returns the scored candidate edges of one point.
-func (h *HMMMatcher) candidates(p geo.Point) []candidate {
-	hits := h.m.candidateEdges(p, h.opts.CandidateRadiusMeters, h.opts.MaxCandidates)
-	out := make([]candidate, 0, len(hits))
-	for _, m := range hits {
+// appendStep scores the candidate edges of p and appends them to the
+// lattice in sc as its next step. It reports false, adding no step,
+// when p has no candidate.
+func (h *HMMMatcher) appendStep(sc *stepScratch, p geo.Point) bool {
+	sc.matches = h.m.appendCandidates(sc.matches[:0], &sc.match, p, h.opts.CandidateRadiusMeters, h.opts.MaxCandidates)
+	if len(sc.matches) == 0 {
+		return false
+	}
+	for _, m := range sc.matches {
 		// log of the Gaussian emission N(0, sigma) at distance d.
 		z := m.Distance / h.opts.SigmaMeters
-		out = append(out, candidate{match: m, emission: -0.5 * z * z})
+		sc.cands = append(sc.cands, candidate{match: m, emission: -0.5 * z * z})
 	}
-	return out
+	sc.bounds = append(sc.bounds, len(sc.cands))
+	return true
 }
 
 // transition returns the log transition probability between consecutive
@@ -296,11 +303,21 @@ func (h *HMMMatcher) networkDistance(a, b Match) float64 {
 	return best
 }
 
-// stepScratch is the reusable per-step transition distance table of the
-// fast path: the distinct candidate endpoint nodes of the previous and
-// next Viterbi step, and one row of bounded shortest-path distances per
-// source node. Pooled so steady-state decoding allocates nothing here.
+// stepScratch is the reusable memory of one MatchPoints call: the
+// Viterbi lattice of the current run with the candidate queries that fill
+// it, and the per-step transition distance table of the fast path — the
+// distinct candidate endpoint nodes of the previous and next Viterbi
+// step, and one row of bounded shortest-path distances per source node.
+// Pooled so steady-state decoding allocates nothing here.
 type stepScratch struct {
+	match   matchScratch
+	matches []Match
+	cands   []candidate // every step's candidates, step after step
+	bounds  []int       // step s is cands[bounds[s]:bounds[s+1]]
+	back    []int       // per candidate: best predecessor in the previous step
+	probs   []float64   // best log-probability of each current candidate
+	next    []float64   // the same for the step being scored
+
 	maxCost float64
 	srcs    []NodeID    // distinct endpoint nodes of the previous step's candidates
 	tgts    []NodeID    // distinct endpoint nodes of the next step's candidates
@@ -477,43 +494,29 @@ func (h *HMMMatcher) networkDistanceFast(sc *stepScratch, a, b Match) float64 {
 	return best
 }
 
-// candidateEdges returns up to max distinct edges within radius of p,
-// nearest first.
-func (m *Matcher) candidateEdges(p geo.Point, radius float64, max int) []Match {
-	hits := m.ix.Within(p, radius+matchSampleSpacing)
-	// Dedupe with a small stack-backed slice: candidate lists are a
-	// handful of edges, and this runs once per GPS sample on the serving
-	// path, so a per-call map allocation is pure overhead.
-	var seenArr [16]int
-	seen := seenArr[:0]
-	var out []Match
-	for _, h := range hits {
-		dup := false
-		for _, id := range seen {
-			if id == h.ID {
-				dup = true
-				break
-			}
-		}
-		if dup {
+// appendCandidates appends up to max distinct edges within radius of p
+// to dst, nearest first, querying the index through sc. Edges at equal
+// distance keep the order in which their nearest samples were met.
+func (m *Matcher) appendCandidates(dst []Match, sc *matchScratch, p geo.Point, radius float64, max int) []Match {
+	n0 := len(dst)
+	m.query(sc, p, radius+matchSampleSpacing)
+	for _, h := range sc.hits {
+		if !sc.firstSeen(h.ID) {
 			continue
 		}
-		seen = append(seen, h.ID)
 		e := m.g.Edge(EdgeID(h.ID))
 		d, seg, t := e.Geometry.NearestPoint(p)
 		if d > radius {
 			continue
 		}
-		out = append(out, Match{Edge: e, Distance: d, Along: e.Geometry.DistanceAlong(seg, t)})
+		dst = append(dst, Match{Edge: e, Distance: d, Along: e.Geometry.DistanceAlong(seg, t)})
 	}
 	// Insertion sort by distance (candidate lists are tiny).
+	out := dst[n0:]
 	for i := 1; i < len(out); i++ {
 		for j := i; j > 0 && out[j].Distance < out[j-1].Distance; j-- {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-	if len(out) > max {
-		out = out[:max]
-	}
-	return out
+	return dst[:n0+min(len(out), max)]
 }

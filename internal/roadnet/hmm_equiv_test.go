@@ -81,17 +81,17 @@ func randomWalkPoints(rng *rand.Rand, g *Graph, numPoints int) []geo.Point {
 
 // requireSameMatches fails unless the two match slices are byte-identical:
 // same nil pattern, same edges, and bit-equal Distance/Along floats.
-func requireSameMatches(t *testing.T, want, got []*Match, label string) {
+func requireSameMatches(t *testing.T, want, got []Match, label string) {
 	t.Helper()
 	if len(want) != len(got) {
 		t.Fatalf("%s: length %d != %d", label, len(got), len(want))
 	}
 	for i := range want {
 		w, g := want[i], got[i]
-		if (w == nil) != (g == nil) {
-			t.Fatalf("%s: point %d nil mismatch (want nil=%v, got nil=%v)", label, i, w == nil, g == nil)
+		if (w.Edge == nil) != (g.Edge == nil) {
+			t.Fatalf("%s: point %d unmatched mismatch (want unmatched=%v, got unmatched=%v)", label, i, w.Edge == nil, g.Edge == nil)
 		}
-		if w == nil {
+		if w.Edge == nil {
 			continue
 		}
 		if w.Edge.ID != g.Edge.ID {
@@ -162,7 +162,7 @@ func TestHMMSharedCacheConcurrent(t *testing.T) {
 
 	const goroutines = 8
 	trajs := make([][]geo.Point, goroutines)
-	golden := make([][]*Match, goroutines)
+	golden := make([][]Match, goroutines)
 	for i := range trajs {
 		trajs[i] = randomWalkPoints(rng, g, 50)
 		golden[i] = h.MatchPoints(trajs[i])
@@ -178,8 +178,8 @@ func TestHMMSharedCacheConcurrent(t *testing.T) {
 				got := h.MatchPoints(trajs[i])
 				for j := range got {
 					w, g := golden[i][j], got[j]
-					if (w == nil) != (g == nil) ||
-						(w != nil && (w.Edge.ID != g.Edge.ID ||
+					if (w.Edge == nil) != (g.Edge == nil) ||
+						(w.Edge != nil && (w.Edge.ID != g.Edge.ID ||
 							math.Float64bits(w.Along) != math.Float64bits(g.Along))) {
 						errs <- fmt.Sprintf("goroutine %d round %d: point %d diverged", i, round, j)
 						return
@@ -250,7 +250,7 @@ func TestCandidateEdgesDedupesWithoutMap(t *testing.T) {
 	}
 	m := NewMatcher(g)
 	p := geo.Destination(geo.Destination(testOrigin, 90, 1500), 0, 10)
-	cands := m.candidateEdges(p, 150, 10)
+	cands := m.appendCandidates(nil, new(matchScratch), p, 150, 10)
 	if len(cands) != 1 {
 		t.Fatalf("expected 1 deduped candidate, got %d", len(cands))
 	}

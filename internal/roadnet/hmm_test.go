@@ -48,7 +48,7 @@ func TestHMMStaysOnOneRoad(t *testing.T) {
 	matches := h.MatchPoints(pts)
 	var onSouth, matched int
 	for _, m := range matches {
-		if m == nil {
+		if m.Edge == nil {
 			continue
 		}
 		matched++
@@ -88,7 +88,7 @@ func TestHMMAlongIsMonotonic(t *testing.T) {
 	matches := h.MatchPoints(pts)
 	var lastAlong float64 = -1
 	for i, m := range matches {
-		if m == nil || m.Edge.ID != south {
+		if m.Edge == nil || m.Edge.ID != south {
 			t.Fatalf("point %d not matched to the travelled road", i)
 		}
 		if m.Along < lastAlong-1 {
@@ -107,13 +107,13 @@ func TestHMMGapRestartsChain(t *testing.T) {
 		geo.Destination(testOrigin, 90, 300),
 	}
 	matches := h.MatchPoints(pts)
-	if matches[0] == nil || matches[0].Edge.ID != south {
+	if matches[0].Edge == nil || matches[0].Edge.ID != south {
 		t.Fatal("first point unmatched")
 	}
-	if matches[1] != nil {
+	if matches[1].Edge != nil {
 		t.Fatal("off-network point should be unmatched")
 	}
-	if matches[2] == nil || matches[2].Edge.ID != south {
+	if matches[2].Edge == nil || matches[2].Edge.ID != south {
 		t.Fatal("chain did not restart after the gap")
 	}
 }
@@ -149,14 +149,14 @@ func TestCandidateEdgesOrderedAndCapped(t *testing.T) {
 	m := NewMatcher(g)
 	// A point 20m north of the south road: south is nearer than north.
 	p := geo.Destination(geo.Destination(testOrigin, 90, 1000), 0, 20)
-	cands := m.candidateEdges(p, 150, 10)
+	cands := m.appendCandidates(nil, new(matchScratch), p, 150, 10)
 	if len(cands) < 2 {
 		t.Fatalf("candidates = %d", len(cands))
 	}
 	if cands[0].Edge.ID != south || cands[1].Edge.ID != northE {
 		t.Fatalf("candidate order wrong: %v then %v", cands[0].Edge.ID, cands[1].Edge.ID)
 	}
-	if got := m.candidateEdges(p, 150, 1); len(got) != 1 {
+	if got := m.appendCandidates(nil, new(matchScratch), p, 150, 1); len(got) != 1 {
 		t.Fatalf("cap ignored: %d", len(got))
 	}
 }

@@ -2,6 +2,8 @@ package roadnet
 
 import (
 	"math"
+	"slices"
+	"sync"
 
 	"stmaker/internal/geo"
 	"stmaker/internal/spatial"
@@ -21,18 +23,41 @@ const matchSampleSpacing = 60.0
 
 // NewMatcher builds a matcher for the graph.
 func NewMatcher(g *Graph) *Matcher {
-	refLat := 0.0
-	if g.NumNodes() > 0 {
-		refLat = g.Node(0).Pt.Lat
-	}
-	ix := spatial.NewIndex(matchSampleSpacing*2, refLat)
+	var items []spatial.Item
 	for i := range g.Edges() {
-		e := g.Edge(EdgeID(i))
-		for _, p := range e.Geometry.Resample(matchSampleSpacing) {
-			ix.Insert(i, p)
+		for _, p := range g.Edge(EdgeID(i)).Geometry.Resample(matchSampleSpacing) {
+			items = append(items, spatial.Item{ID: i, Point: p})
 		}
 	}
-	return &Matcher{g: g, ix: ix}
+	return &Matcher{g: g, ix: spatial.NewIndex(matchSampleSpacing*2, items)}
+}
+
+// matchScratch is the working memory of one edge query: the index hits
+// and the edges already scored. It is pooled (or held in the HMM's step
+// scratch), so per-sample matching allocates nothing.
+type matchScratch struct {
+	hits []spatial.Result
+	seen []int
+}
+
+var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}
+
+// query fills sc.hits with the indexed edge samples within radius of p,
+// nearest first, and forgets the edges seen by the previous query.
+func (m *Matcher) query(sc *matchScratch, p geo.Point, radius float64) {
+	sc.hits = m.ix.AppendWithin(sc.hits[:0], p, radius)
+	sc.seen = sc.seen[:0]
+}
+
+// firstSeen reports whether this query meets edge id for the first time.
+// An edge has a handful of samples near any point, so a linear scan
+// beats a set.
+func (sc *matchScratch) firstSeen(id int) bool {
+	if slices.Contains(sc.seen, id) {
+		return false
+	}
+	sc.seen = append(sc.seen, id)
+	return true
 }
 
 // Match describes a GPS point matched onto an edge.
@@ -52,24 +77,17 @@ func (m Match) Point() geo.Point { return m.Edge.Geometry.PointAt(m.Along) }
 // NearestEdge returns the edge closest to p within maxDist metres. The
 // boolean is false when no edge qualifies.
 func (m *Matcher) NearestEdge(p geo.Point, maxDist float64) (Match, bool) {
-	hits := m.ix.Within(p, maxDist+matchSampleSpacing)
+	sc := matchScratchPool.Get().(*matchScratch)
+	defer matchScratchPool.Put(sc)
+	m.query(sc, p, maxDist+matchSampleSpacing)
+	// Samples come nearest first and only a strictly nearer edge
+	// replaces the best, so of two edges at exactly the same distance the
+	// one whose sample is met first wins.
 	best := Match{Distance: math.Inf(1)}
-	// Small-slice dedupe, as in candidateEdges: this runs per sample on
-	// the greedy matching path.
-	var seenArr [16]int
-	seen := seenArr[:0]
-	for _, h := range hits {
-		dup := false
-		for _, id := range seen {
-			if id == h.ID {
-				dup = true
-				break
-			}
-		}
-		if dup {
+	for _, h := range sc.hits {
+		if !sc.firstSeen(h.ID) {
 			continue
 		}
-		seen = append(seen, h.ID)
 		e := m.g.Edge(EdgeID(h.ID))
 		d, seg, t := e.Geometry.NearestPoint(p)
 		if d < best.Distance {

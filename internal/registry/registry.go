@@ -16,14 +16,15 @@
 // process sized for the hot few.
 //
 // Request routing is by explicit region key, or — for regions whose
-// manifest declares a bounding box — by spatial lookup of a
-// trajectory's first fix via internal/spatial.
+// manifest declares a bounding box — by the box that contains a
+// trajectory's first fix.
 package registry
 
 import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"math"
 	"math/rand/v2"
 	"os"
 	"path/filepath"
@@ -38,7 +39,6 @@ import (
 	"stmaker/internal/metrics"
 	"stmaker/internal/modelio"
 	"stmaker/internal/roadnet"
-	"stmaker/internal/spatial"
 	"stmaker/internal/worldio"
 )
 
@@ -111,10 +111,6 @@ var ErrNoReloadSource = errors.New("registry: region has no reload source")
 // DefaultRegionName is the implicit region key used by NewStatic, i.e.
 // by single-region servers wrapping one summarizer.
 const DefaultRegionName = "default"
-
-// spatialCellMeters sizes the routing grid. Region centroids are
-// city-scale objects, so a coarse grid keeps the index tiny.
-const spatialCellMeters = 50_000
 
 // NewSummarizerFunc builds a region's Summarizer from its loaded world.
 // The registry passes the region's own metrics registry so each
@@ -210,15 +206,6 @@ type Registry struct {
 	mx    *metrics.Registry
 	log   *slog.Logger
 
-	// index maps bounding-box centroids to cells for spatial routing;
-	// spatialNames[i] is the region inserted with id i. maxReach is the
-	// largest centroid-to-corner distance over all boxes: any box
-	// containing a point has its centroid within maxReach of it, so one
-	// Within query is a complete candidate set.
-	index        *spatial.Index
-	spatialNames []string
-	maxReach     float64
-
 	// budgetMu guards the byte accounting and all cellState stores, so
 	// concurrent loads and evictions agree on what is loaded.
 	budgetMu    sync.Mutex
@@ -292,7 +279,6 @@ func Open(dir string, opts Options) (*Registry, error) {
 		return nil, fmt.Errorf("%w under %s", ErrNoRegions, dir)
 	}
 	sort.Strings(r.names)
-	r.buildSpatialIndex()
 	discovered := r.mx.Counter(MetricRegionsDiscovered) //nolint:stmaker/metricnames -- regions_discovered is a gauge (set once at startup), so the _total counter suffix does not apply
 	discovered.Add(int64(len(r.cells)))
 	return r, nil
@@ -326,42 +312,6 @@ func NewStatic(name string, s *stmaker.Summarizer, source func() error, opts Opt
 	discovered := r.mx.Counter(MetricRegionsDiscovered) //nolint:stmaker/metricnames -- regions_discovered is a gauge (set once at startup), so the _total counter suffix does not apply
 	discovered.Add(1)
 	return r
-}
-
-// buildSpatialIndex indexes the centroids of bounding-boxed regions for
-// Resolve. Regions without a bbox stay reachable by explicit key only.
-func (r *Registry) buildSpatialIndex() {
-	var refLat float64
-	boxed := 0
-	for _, name := range r.names {
-		if b := r.cells[name].bbox; b != nil {
-			lat, _ := b.Center()
-			refLat = lat
-			boxed++
-		}
-	}
-	if boxed == 0 {
-		return
-	}
-	r.index = spatial.NewIndex(spatialCellMeters, refLat)
-	for _, name := range r.names {
-		b := r.cells[name].bbox
-		if b == nil {
-			continue
-		}
-		clat, clng := b.Center()
-		center := geo.Point{Lat: clat, Lng: clng}
-		// The farthest point of a box from its centroid is a corner.
-		reach := geo.Distance(center, geo.Point{Lat: b.MaxLat, Lng: b.MaxLng})
-		if d := geo.Distance(center, geo.Point{Lat: b.MinLat, Lng: b.MinLng}); d > reach {
-			reach = d
-		}
-		if reach > r.maxReach {
-			r.maxReach = reach
-		}
-		r.index.Insert(len(r.spatialNames), center)
-		r.spatialNames = append(r.spatialNames, name)
-	}
 }
 
 // Names returns the sorted region keys.
@@ -481,19 +431,24 @@ func (r *Registry) Loaded(name string) bool {
 }
 
 // Resolve routes a point to the region whose bounding box contains it,
-// preferring the region whose centroid is nearest when boxes overlap.
-// It returns false when no indexed region contains the point.
+// preferring the region whose centroid is nearest when boxes overlap,
+// and the earlier name at equal distance. It returns false when no
+// region's box contains the point; regions without a bbox are reachable
+// by explicit key only. A fleet holds a handful of regions, so one scan
+// over their boxes is all the index routing needs.
 func (r *Registry) Resolve(p geo.Point) (string, bool) {
-	if r.index == nil {
-		return "", false
-	}
-	for _, hit := range r.index.Within(p, r.maxReach) {
-		name := r.spatialNames[hit.ID]
-		if r.cells[name].bbox.Contains(p.Lat, p.Lng) {
-			return name, true
+	best, bestD, found := "", math.Inf(1), false
+	for _, name := range r.names {
+		b := r.cells[name].bbox
+		if b == nil || !b.Contains(p.Lat, p.Lng) {
+			continue
+		}
+		lat, lng := b.Center()
+		if d := geo.Distance(p, geo.Point{Lat: lat, Lng: lng}); !found || d < bestD {
+			best, bestD, found = name, d, true
 		}
 	}
-	return "", false
+	return best, found
 }
 
 // Summarizer resolves a region key to its serving summarizer, loading

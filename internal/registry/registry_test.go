@@ -235,6 +235,35 @@ func TestResolveSpatial(t *testing.T) {
 	}
 }
 
+// TestResolveOverlappingBoxes pins Resolve's rule where boxes overlap:
+// the containing box whose centroid is nearest wins, a tie goes to the
+// earlier name, and boxless regions never match.
+func TestResolveOverlappingBoxes(t *testing.T) {
+	box := func(minLat, minLng, maxLat, maxLng float64) *modelio.BBox {
+		return &modelio.BBox{MinLat: minLat, MinLng: minLng, MaxLat: maxLat, MaxLng: maxLng}
+	}
+	r := &Registry{cells: map[string]*cell{
+		"a":      {bbox: box(0, 0, 2, 2)}, // centroid (1, 1)
+		"b":      {bbox: box(0, 0, 2, 2)}, // same box as a
+		"c":      {bbox: box(1, 1, 3, 3)}, // centroid (2, 2)
+		"nobbox": {},
+	}, names: []string{"a", "b", "c", "nobbox"}}
+	for _, tc := range []struct {
+		p    geo.Point
+		want string
+		ok   bool
+	}{
+		{geo.Point{Lat: 1.2, Lng: 1.2}, "a", true}, // a and b tie, c is farther
+		{geo.Point{Lat: 1.9, Lng: 1.9}, "c", true}, // nearer c's centroid
+		{geo.Point{Lat: 2.5, Lng: 2.5}, "c", true},
+		{geo.Point{Lat: 4, Lng: 4}, "", false},
+	} {
+		if got, ok := r.Resolve(tc.p); got != tc.want || ok != tc.ok {
+			t.Errorf("Resolve(%v) = %q, %v; want %q, %v", tc.p, got, ok, tc.want, tc.ok)
+		}
+	}
+}
+
 func TestUnknownRegion(t *testing.T) {
 	dir, _ := twoRegionDir(t)
 	opts := testOptions()

@@ -314,11 +314,14 @@ func New(cfg Config) (*Summarizer, error) {
 		cfg.Threshold = irregular.DefaultThreshold
 	}
 	reg := feature.NewDefaultRegistry()
-	ctx := feature.NewContext(cfg.Graph, roadnet.NewMatcher(cfg.Graph), cfg.Landmarks)
 	mx := cfg.Metrics
 	if mx == nil {
 		mx = metrics.NewRegistry()
 	}
+	// One edge index per summarizer: HMM matching draws its candidate
+	// edges from the context's greedy matcher.
+	var hmm *roadnet.HMMMatcher
+	var matcher *roadnet.Matcher
 	if cfg.UseHMMMatching {
 		cache := roadnet.NewSPCache(roadnet.SPCacheOptions{
 			Capacity:  roadnet.DefaultSPCacheEntries,
@@ -326,8 +329,13 @@ func New(cfg Config) (*Summarizer, error) {
 			Misses:    mx.Counter(MetricSPCacheMisses),
 			Evictions: mx.Counter(MetricSPCacheEvictions),
 		})
-		ctx.HMM = roadnet.NewHMMMatcher(cfg.Graph, roadnet.HMMOptions{Cache: cache})
+		hmm = roadnet.NewHMMMatcher(cfg.Graph, roadnet.HMMOptions{Cache: cache})
+		matcher = hmm.Matcher()
+	} else {
+		matcher = roadnet.NewMatcher(cfg.Graph)
 	}
+	ctx := feature.NewContext(cfg.Graph, matcher, cfg.Landmarks)
+	ctx.HMM = hmm
 	s := &Summarizer{
 		cfg:      cfg,
 		registry: reg,

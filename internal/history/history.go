@@ -332,29 +332,40 @@ func (m *FeatureMap) Add(a, b int, v []float64) {
 
 // Regular returns the regular feature vector r of the transition a→b —
 // per-dimension mean (numeric) or mode (categorical) — or false when the
-// corpus never travelled it.
+// corpus never travelled it. Element j is RegularAt(a, b, j).
 func (m *FeatureMap) Regular(a, b int) ([]float64, bool) {
-	key := [2]int{a, b}
-	n := m.n[key]
-	if n == 0 {
+	if !m.HasEdge(a, b) {
 		return nil, false
 	}
 	out := make([]float64, m.dims)
-	counts := m.catCounts[key]
-	for j, s := range m.sums[key] {
-		if m.categorical[j] && counts != nil && counts[j] != nil {
+	for j := range out {
+		out[j], _ = m.RegularAt(a, b, j)
+	}
+	return out, true
+}
+
+// RegularAt returns dimension j of the regular feature vector of the
+// transition a→b, or false when the corpus never travelled it. It
+// allocates nothing, so per-feature lookups on the serving path need
+// not build the whole vector.
+func (m *FeatureMap) RegularAt(a, b, j int) (float64, bool) {
+	key := [2]int{a, b}
+	n := m.n[key]
+	if n == 0 {
+		return 0, false
+	}
+	if m.categorical[j] {
+		if counts := m.catCounts[key]; counts != nil && counts[j] != nil {
 			best, bestN := 0.0, 0
 			for val, c := range counts[j] {
 				if c > bestN || (c == bestN && val < best) {
 					best, bestN = val, c
 				}
 			}
-			out[j] = best
-			continue
+			return best, true
 		}
-		out[j] = s / float64(n)
 	}
-	return out, true
+	return m.sums[key][j] / float64(n), true
 }
 
 // Flattened returns a copy of the map covering the same transitions but

@@ -130,6 +130,48 @@ func TestFeatureMapRegular(t *testing.T) {
 	}
 }
 
+// TestRegularAtMatchesVectorArithmetic pins RegularAt bit for bit to
+// the whole-vector arithmetic it replaced on the selection path: the
+// sum over the count for numeric dimensions, the most frequent value
+// (the smallest on a tie) for categorical ones.
+func TestRegularAtMatchesVectorArithmetic(t *testing.T) {
+	rng := rand.New(rand.NewPCG(4, 5))
+	m := NewFeatureMap(4)
+	m.MarkCategorical(1)
+	m.MarkCategorical(3)
+	for i := 0; i < 500; i++ {
+		a, b := rng.IntN(6), rng.IntN(6)
+		m.Add(a, b, []float64{rng.Float64() * 90, float64(rng.IntN(4)), rng.NormFloat64(), float64(1 + rng.IntN(2))})
+	}
+	for a := 0; a < 7; a++ {
+		for b := 0; b < 7; b++ {
+			key := [2]int{a, b}
+			for j := 0; j < m.Dims(); j++ {
+				got, ok := m.RegularAt(a, b, j)
+				if ok != (m.n[key] > 0) {
+					t.Fatalf("RegularAt(%d, %d, %d) ok = %v with %d observations", a, b, j, ok, m.n[key])
+				}
+				if !ok {
+					continue
+				}
+				want := m.sums[key][j] / float64(m.n[key])
+				if m.categorical[j] {
+					best, bestN := 0.0, 0
+					for val, c := range m.catCounts[key][j] {
+						if c > bestN || (c == bestN && val < best) {
+							best, bestN = val, c
+						}
+					}
+					want = best
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("RegularAt(%d, %d, %d) = %v, want %v", a, b, j, got, want)
+				}
+			}
+		}
+	}
+}
+
 func TestFeatureMapGlobalMean(t *testing.T) {
 	m := NewFeatureMap(1)
 	m.Add(0, 1, []float64{10})

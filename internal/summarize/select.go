@@ -131,14 +131,11 @@ func (sel *Selector) routeFeatureSeq(prRoute []int, j int) ([]float64, bool) {
 	}
 	seq := sel.seq[:0]
 	for i := 1; i < len(prRoute); i++ {
-		r, ok := sel.FeatureMap.Regular(prRoute[i-1], prRoute[i])
+		r, ok := sel.regularAt(prRoute[i-1], prRoute[i], j)
 		if !ok {
-			if !sel.GlobalMeanFallback {
-				return nil, false
-			}
-			r = sel.FeatureMap.GlobalMean()
+			return nil, false
 		}
-		seq = append(seq, r[j])
+		seq = append(seq, r)
 	}
 	sel.seq = seq
 	return seq, true
@@ -152,18 +149,27 @@ func (sel *Selector) regularSeq(s *traj.Symbolic, part partition.Part, j, n int)
 	}
 	out := sel.seq[:0]
 	for i := part.FirstSeg; i <= part.LastSeg; i++ {
-		a, b := s.Visits[i].Landmark, s.Visits[i+1].Landmark
-		r, ok := sel.FeatureMap.Regular(a, b)
+		r, ok := sel.regularAt(s.Visits[i].Landmark, s.Visits[i+1].Landmark, j)
 		if !ok {
-			if !sel.GlobalMeanFallback {
-				return nil, false
-			}
-			r = sel.FeatureMap.GlobalMean()
+			return nil, false
 		}
-		out = append(out, r[j])
+		out = append(out, r)
 	}
 	sel.seq = out
 	return out, true
+}
+
+// regularAt is the regular value of feature j on the transition a→b,
+// falling back to the global mean for a transition history never saw
+// when GlobalMeanFallback is set.
+func (sel *Selector) regularAt(a, b, j int) (float64, bool) {
+	if r, ok := sel.FeatureMap.RegularAt(a, b, j); ok {
+		return r, true
+	}
+	if !sel.GlobalMeanFallback {
+		return 0, false
+	}
+	return sel.FeatureMap.GlobalMean()[j], true
 }
 
 // aggregate collapses per-segment values into a partition-level value:

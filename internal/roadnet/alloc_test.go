@@ -51,3 +51,21 @@ func TestMatchPointsAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestMatchPointsOverlayAllocs guards the overlay path of the HMM
+// matcher: with a zero-gate overlay router, no distance cache and a
+// sparse trajectory, every transition is certified and searched through
+// the overlay, and MatchPoints still allocates only the slice it
+// returns.
+func TestMatchPointsOverlayAllocs(t *testing.T) {
+	skipUnderRace(t)
+	g := benchGrid(10, 400)
+	h := NewHMMMatcher(g, HMMOptions{})
+	h.SetRouter(zeroGateRouter(g, BuildOverlay(g, OverlayOptions{})))
+	pts := benchSparseTrajectory(400, 4)
+	match := func() { h.MatchPoints(pts) }
+	match() // warm the pools
+	if allocs := testing.AllocsPerRun(20, match); allocs != 1 {
+		t.Fatalf("MatchPoints allocates %v times, want 1 (the returned slice)", allocs)
+	}
+}

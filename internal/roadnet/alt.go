@@ -10,34 +10,34 @@ import (
 	"stmaker/internal/geo"
 )
 
-// This file implements the ALT routing engine (A*, Landmarks,
-// Triangle-inequality; Goldberg & Harrelson, SODA 2005): a small set of
-// far-apart landmark nodes is chosen once per graph, the shortest-path
-// distance between every landmark and every node is precomputed in both
-// directions, and the triangle inequality turns those tables into an
-// admissible lower bound on any node-to-node distance,
+// This file implements the routing engine behind HMM transition scoring
+// and its optional ALT overlay (A*, Landmarks, Triangle-inequality;
+// Goldberg & Harrelson, SODA 2005): a small set of far-apart landmark
+// nodes is chosen once per graph, the shortest-path distance between
+// every landmark and every node is precomputed in both directions, and
+// the triangle inequality turns those tables into an admissible lower
+// bound on any node-to-node distance,
 //
 //	d(u, t) >= d(ℓ, t) − d(ℓ, u)   (forward table)
 //	d(u, t) >= d(u, ℓ) − d(t, ℓ)   (backward table)
 //
-// maximized over all landmarks ℓ. The bound drives goal-directed A* for
-// point-to-point queries and prunes the frontier of bounded multi-target
-// searches: a node whose tentative distance plus lower bound already
-// exceeds the search budget cannot lie on any in-budget path and is
-// never pushed.
+// maximized over all landmarks ℓ. The bound prunes the frontier of
+// bounded multi-target searches — a node whose distance plus lower
+// bound already exceeds the search budget cannot lie on any in-budget
+// path and is not expanded — and certifies pairs beyond the budget
+// without any search.
 //
-// Exactness under floating point. The repo's serving guarantee is that
-// every routing engine returns bit-identical distances (summaries are
-// compared byte-for-byte against the naive reference), so the bound is
-// never trusted to the last ulp: every comparison deflates it by
-// altSlackMeters, a margin about a thousand times larger than the worst
-// accumulated rounding error of city-scale distance sums, and about
-// eight orders of magnitude below any physically meaningful distance.
-// Pruning therefore only ever removes provably-out-of-budget nodes, and
-// the A* heuristic stays admissible, so both query kinds compute exactly
-// the minimum floating-point path cost — the same value Dijkstra
-// computes. The tables are valid only for the ByDistance metric; any
-// other weight function transparently falls back to plain Dijkstra.
+// Exactness under floating point. The serving guarantee is that the
+// overlay never changes a distance (matches are compared byte for byte
+// against the reference decoder), so the bound is never trusted to the
+// last ulp: every comparison deflates it by altSlackMeters, a margin
+// about a thousand times larger than the worst accumulated rounding
+// error of city-scale distance sums, and about eight orders of
+// magnitude below any physically meaningful distance. Pruning therefore
+// only ever removes provably-out-of-budget nodes, so a pruned search
+// computes exactly the minimum floating-point path cost — the same
+// value plain Dijkstra computes. The tables hold ByDistance costs, the
+// one metric HMM transitions use.
 
 // DefaultOverlayLandmarks is the landmark count BuildOverlay uses when
 // OverlayOptions.Landmarks is zero. Sixteen is the classic ALT sweet
@@ -363,40 +363,25 @@ func NewOverlayFromTables(landmarks []NodeID, numNodes int, fwd, bwd [][]float64
 	return o, nil
 }
 
-// lowerBound is the raw triangle-inequality bound on the ByDistance
-// distance from u to t, maximized over landmarks. +Inf is a proof of
-// unreachability (e.g. a landmark reaches u but not t). The value may
-// overestimate the true bound by floating-point rounding; comparisons
-// must deflate it by altSlackMeters.
-func (o *Overlay) lowerBound(u, t NodeID) float64 {
-	k := len(o.landmarks)
-	fu, ft := o.fwdT[int(u)*k:][:k], o.fwdT[int(t)*k:][:k]
-	bu, bt := o.bwdT[int(u)*k:][:k], o.bwdT[int(t)*k:][:k]
-	lb := 0.0
-	for i := 0; i < k; i++ {
-		// Inf arithmetic does the right thing in every case: Inf−finite
-		// is a valid +Inf bound, finite−Inf is −Inf (discarded), and
-		// Inf−Inf is NaN, which fails the > test and is discarded.
-		if d := ft[i] - fu[i]; d > lb {
-			lb = d
-		}
-		if d := bu[i] - bt[i]; d > lb {
-			lb = d
-		}
-	}
-	return lb
-}
-
-// altRouter is the ALT engine: goal-directed A* for point-to-point
-// queries and lower-bound-pruned bounded Dijkstra for multi-target
-// queries, falling back to the plain engine for non-ByDistance weights.
-type altRouter struct {
+// Router is the routing engine behind the HMM matcher's transition
+// scoring. On a distance-cache miss the matcher needs exactly two
+// things from it: bounded ByDistance distances from one candidate
+// endpoint to the next step's endpoints (distancesFromInto), and a
+// certificate that a pair lies beyond the step budget (provablyBeyond).
+// Without an overlay the searches are plain bounded Dijkstra and nothing
+// is certified. With one, searches whose budget exceeds the gate prune
+// their frontier by the landmark lower bound, and pairs the bound puts
+// beyond the budget are certified without a search. Either way the
+// distances are bit-identical, so swapping routers mid-request never
+// changes a match.
+type Router struct {
 	g *Graph
-	o *Overlay
-	// gate is the multi-target engagement threshold: a bounded search
-	// whose budget is below it explores so few nodes that the per-search
-	// landmark aggregates cost more than the pruning saves, so it runs on
-	// the plain engine. Computed once from the graph's mean edge cost.
+	o *Overlay // nil: plain bounded Dijkstra
+	// gate is the engagement threshold: a bounded search whose budget is
+	// at most gate explores so few nodes that the per-search landmark
+	// aggregates cost more than the pruning saves, so it runs plain.
+	// Computed once from the graph's mean edge cost; +Inf without an
+	// overlay.
 	gate float64
 }
 
@@ -407,14 +392,14 @@ type altRouter struct {
 // engine while decimated ones (tens of edges) get pruned.
 const gateEdgeSpan = 24
 
-// NewALTRouter returns a Router answering ByDistance queries with the
-// precomputed overlay. When the overlay is nil, empty, or was built for
-// a graph with a different node count, the plain Dijkstra engine is
-// returned instead — an overlay mismatch must never produce wrong
-// routes, and all engines are exact, so falling back is always safe.
-func NewALTRouter(g *Graph, o *Overlay) Router {
+// NewALTRouter returns a Router over g that prunes with the precomputed
+// overlay o. When o is nil, empty, or was built for a graph with a
+// different node count, the router runs plain bounded Dijkstra instead:
+// an overlay mismatch must never produce wrong routes, and pruning never
+// changes a distance, so falling back is always safe.
+func NewALTRouter(g *Graph, o *Overlay) *Router {
 	if o == nil || len(o.landmarks) == 0 || o.numNodes != g.NumNodes() {
-		return dijkstraRouter{g: g}
+		return &Router{g: g, gate: math.Inf(1)}
 	}
 	var sum float64
 	for i := range g.edges {
@@ -424,14 +409,21 @@ func NewALTRouter(g *Graph, o *Overlay) Router {
 	if len(g.edges) > 0 {
 		mean = sum / float64(len(g.edges))
 	}
-	return altRouter{g: g, o: o, gate: gateEdgeSpan * mean}
+	return &Router{g: g, o: o, gate: gateEdgeSpan * mean}
 }
 
-func (r altRouter) provablyBeyond(u, t NodeID, budget float64) bool {
-	if budget <= r.gate {
-		// Below the gate a bounded search is tiny: evaluating the bound
-		// for every candidate pair costs more than the searches it could
-		// skip. Declining to certify is always safe.
+// provablyBeyond reports whether the overlay certifies that the
+// ByDistance shortest-path distance from u to t exceeds budget. A
+// certificate is never wrong — the true (and the computed) distance
+// really is beyond the budget — so a caller may skip any search whose
+// budget is certified exceeded; false only means "no certificate",
+// never "reachable".
+func (r *Router) provablyBeyond(u, t NodeID, budget float64) bool {
+	if !(budget > r.gate) {
+		// At or below the gate (always, without an overlay; NaN too) a
+		// bounded search is tiny: evaluating the bound for every
+		// candidate pair costs more than the searches it could skip.
+		// Declining to certify is always safe.
 		return false
 	}
 	n := r.o.numNodes
@@ -454,109 +446,6 @@ func (r altRouter) provablyBeyond(u, t NodeID, budget float64) bool {
 	return false
 }
 
-// ShortestPath is goal-directed A*: the frontier is ordered by tentative
-// distance plus the landmark lower bound to dst, so the search expands
-// toward the destination instead of in every direction. The deflated
-// bound is admissible but (at the last ulp) not necessarily consistent,
-// so a settled node whose distance later improves is reopened — a
-// label-correcting A* that terminates at the first pop of dst with
-// exactly the minimum floating-point path cost, bit-identical to
-// Dijkstra's.
-func (r altRouter) ShortestPath(src, dst NodeID, weight WeightFunc) (*Path, error) {
-	if !isByDistance(weight) {
-		return r.g.ShortestPath(src, dst, weight)
-	}
-	g, o := r.g, r.o
-	n := len(g.nodes)
-	if int(src) < 0 || int(src) >= n || int(dst) < 0 || int(dst) >= n {
-		return nil, ErrNoPath
-	}
-	if src == dst {
-		return &Path{}, nil
-	}
-	h := func(v NodeID) float64 {
-		lb := o.lowerBound(v, dst) - altSlackMeters
-		if lb < 0 {
-			return 0
-		}
-		return lb
-	}
-	if math.IsInf(h(src), 1) {
-		return nil, ErrNoPath // a landmark proves dst unreachable from src
-	}
-
-	s := acquireSearch(n)
-	defer releaseSearch(s)
-	s.dist[src] = 0
-	s.prev[src] = pred{}
-	s.stamp[src] = s.gen
-	s.heap.push(heapEntry{node: src, dist: h(src)})
-	for len(s.heap) > 0 {
-		cur := s.heap.pop()
-		u := cur.node
-		if s.settled[u] == s.gen {
-			continue // stale duplicate, or settled before a reopening push
-		}
-		s.settled[u] = s.gen
-		if u == dst {
-			break
-		}
-		du := s.dist[u]
-		for _, a := range g.out[u] {
-			e := &g.edges[a.edge]
-			v := e.To
-			if a.reverse {
-				v = e.From
-			}
-			w := ByDistance(e, a.reverse)
-			if w < 0 {
-				w = 0
-			}
-			nd := du + w
-			if s.stamp[v] == s.gen && nd >= s.dist[v] {
-				continue
-			}
-			hv := h(v)
-			if math.IsInf(hv, 1) {
-				continue // v provably cannot reach dst
-			}
-			s.dist[v] = nd
-			s.prev[v] = pred{node: u, arc: a, ok: true}
-			s.stamp[v] = s.gen
-			if s.settled[v] == s.gen {
-				s.settled[v] = s.gen - 1 // reopen: the settled distance just improved
-			}
-			s.heap.push(heapEntry{node: v, dist: nd + hv})
-		}
-	}
-
-	if math.IsInf(s.distTo(dst), 1) {
-		return nil, ErrNoPath
-	}
-	cost := s.dist[dst]
-	var rev []PathStep
-	for at := dst; at != src; {
-		p := s.prev[at]
-		if !p.ok {
-			return nil, ErrNoPath
-		}
-		e := &g.edges[p.arc.edge]
-		rev = append(rev, PathStep{Edge: e, Reverse: p.arc.reverse, From: p.node, To: at})
-		at = p.node
-	}
-	steps := make([]PathStep, len(rev))
-	for i := range rev {
-		steps[i] = rev[len(rev)-1-i]
-	}
-	return &Path{Steps: steps, Cost: cost}, nil
-}
-
-func (r altRouter) DistancesFrom(src NodeID, targets []NodeID, maxCost float64, weight WeightFunc) []float64 {
-	out := make([]float64, len(targets))
-	r.distancesFromInto(src, targets, maxCost, weight, out)
-	return out
-}
-
 // maxActiveLandmarks bounds how many landmarks a multi-target search
 // evaluates per settled node. Landmarks whose bound is strong at the
 // source stay strong across the (bounded) search region, so a small
@@ -575,20 +464,24 @@ type altScratch struct {
 
 var altScratchPool = sync.Pool{New: func() any { return &altScratch{} }}
 
-// distancesFromInto is the bounded multi-target search with landmark
-// pruning. The structure mirrors Graph.distancesFrom exactly — same
-// frontier order, same early exits — plus one extra filter: a relaxation
-// whose tentative distance plus the lower bound to the nearest target
-// provably exceeds maxCost is never pushed. Aggregating the per-target
-// bounds once per search (min over forward rows, max over backward rows)
-// makes the per-push bound a single pass over the landmarks.
-func (r altRouter) distancesFromInto(src NodeID, targets []NodeID, maxCost float64, weight WeightFunc, out []float64) {
-	if !isByDistance(weight) || maxCost <= 0 || math.IsInf(maxCost, 1) || maxCost <= r.gate {
-		// No bound to prune against (foreign metric or unbounded), or a
-		// budget too small for pruning to pay its setup: identical to the
-		// plain engine — all engines are exact, so the gate is invisible
-		// in the output.
-		r.g.distancesFrom(src, targets, maxCost, weight, out)
+// distancesFromInto computes the bounded ByDistance distances from src
+// to every target into out (len(out) == len(targets)), with the
+// contract of Graph.distancesFrom: +Inf beyond maxCost, maxCost <= 0 or
+// +Inf unbounded. Above the gate the search mirrors Graph.distancesFrom
+// exactly — same frontier order, same early exits — plus one extra
+// filter: a settled node whose distance plus the lower bound to the
+// nearest target provably exceeds maxCost is not expanded. Aggregating
+// the per-target bounds once per search (min over forward rows, max over
+// backward rows) makes the per-node bound a single pass over the
+// landmarks.
+func (r *Router) distancesFromInto(src NodeID, targets []NodeID, maxCost float64, out []float64) {
+	if !(maxCost > r.gate) || math.IsInf(maxCost, 1) {
+		// Unbounded (maxCost <= 0 falls under the gate, which is never
+		// negative; NaN fails the comparison), or a budget too small for
+		// pruning to pay its setup (every budget, without an overlay):
+		// the plain search. Pruning never changes a distance, so the gate
+		// is invisible in the output.
+		r.g.distancesFrom(src, targets, maxCost, out)
 		return
 	}
 	for i := range out {

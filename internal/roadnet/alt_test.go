@@ -23,12 +23,40 @@ func requireSameDistances(t *testing.T, want, got []float64, label string) {
 	}
 }
 
-// TestALTMatchesDijkstraOnRandomGrids is the ALT engine's core exactness
+// zeroGateRouter returns a router over o with no engagement gate, so
+// every bounded search and every certificate goes through the overlay
+// instead of the small-search opt-out the serving gate applies.
+func zeroGateRouter(g *Graph, o *Overlay) *Router { return &Router{g: g, o: o} }
+
+// routerDistances runs r's bounded multi-target search into a fresh
+// slice.
+func routerDistances(r *Router, src NodeID, targets []NodeID, maxCost float64) []float64 {
+	out := make([]float64, len(targets))
+	r.distancesFromInto(src, targets, maxCost, out)
+	return out
+}
+
+// requireNoFalseCertificate fails when r certifies a pair as beyond
+// maxCost although the bounded search reached it (want holds the plain
+// search's distances from src to targets).
+func requireNoFalseCertificate(t *testing.T, r *Router, src NodeID, targets []NodeID, maxCost float64, want []float64, label string) {
+	t.Helper()
+	for i, tg := range targets {
+		if !math.IsInf(want[i], 1) && r.provablyBeyond(src, tg, maxCost) {
+			t.Fatalf("%s: provablyBeyond(%d, %d, %g) certified a target the search reaches at %v",
+				label, src, tg, maxCost, want[i])
+		}
+	}
+}
+
+// TestALTMatchesDijkstraOnRandomGrids is the overlay's core exactness
 // property: across randomized grids (random grades, one-way sprinkles),
-// random sources, target sets and bounds, both the bounded multi-target
-// search and point-to-point ShortestPath must return costs bit-identical
-// to plain Dijkstra — the guarantee that lets the serving path swap
-// engines without changing a single summary byte.
+// random sources, target sets and bounds, the pruned multi-target search
+// must return distances bit-identical to plain bounded Dijkstra, and no
+// target it reaches may be certified beyond the bound — the guarantee
+// that lets the serving path swap routers without changing a single
+// summary byte. Both the zero-gate router (always pruning) and the
+// serving-gate router are checked.
 func TestALTMatchesDijkstraOnRandomGrids(t *testing.T) {
 	for seed := int64(100); seed < 108; seed++ {
 		seed := seed
@@ -37,24 +65,14 @@ func TestALTMatchesDijkstraOnRandomGrids(t *testing.T) {
 			n := 5 + rng.Intn(5)
 			spacing := 120 + rng.Float64()*180
 			g := randomGrid(rng, n, spacing)
-			dij := NewDijkstraRouter(g)
-			alt := NewALTRouter(g, BuildOverlay(g, OverlayOptions{Landmarks: 1 + rng.Intn(8)}))
-			if _, ok := alt.(altRouter); !ok {
-				t.Fatalf("expected an ALT engine, got %T", alt)
+			o := BuildOverlay(g, OverlayOptions{Landmarks: 1 + rng.Intn(8)})
+			routers := map[string]*Router{"zero-gate": zeroGateRouter(g, o), "serving": NewALTRouter(g, o)}
+			if routers["serving"].o != o {
+				t.Fatal("a matching overlay was not installed")
 			}
 			nodes := g.NumNodes()
 			for trial := 0; trial < 40; trial++ {
 				src := NodeID(rng.Intn(nodes))
-				dst := NodeID(rng.Intn(nodes))
-				wantP, wantErr := dij.ShortestPath(src, dst, ByDistance)
-				gotP, gotErr := alt.ShortestPath(src, dst, ByDistance)
-				if (wantErr != nil) != (gotErr != nil) {
-					t.Fatalf("trial %d: ShortestPath(%d,%d) err %v != %v", trial, src, dst, gotErr, wantErr)
-				}
-				if wantErr == nil && math.Float64bits(wantP.Cost) != math.Float64bits(gotP.Cost) {
-					t.Fatalf("trial %d: ShortestPath(%d,%d) cost %v, want %v", trial, src, dst, gotP.Cost, wantP.Cost)
-				}
-
 				targets := make([]NodeID, 1+rng.Intn(8))
 				for i := range targets {
 					targets[i] = NodeID(rng.Intn(nodes))
@@ -62,19 +80,21 @@ func TestALTMatchesDijkstraOnRandomGrids(t *testing.T) {
 				// Sweep bound regimes: tight (prunes almost everything),
 				// medium, loose, and unbounded.
 				for _, maxCost := range []float64{spacing * 0.5, spacing * float64(n) * 0.7, spacing * float64(n) * 3, 0} {
-					want := dij.DistancesFrom(src, targets, maxCost, ByDistance)
-					got := alt.DistancesFrom(src, targets, maxCost, ByDistance)
-					requireSameDistances(t, want, got,
-						fmt.Sprintf("trial %d DistancesFrom(%d, %v, %g)", trial, src, targets, maxCost))
+					want := distances(g, src, targets, maxCost)
+					for name, r := range routers {
+						label := fmt.Sprintf("%s trial %d distancesFromInto(%d, %v, %g)", name, trial, src, targets, maxCost)
+						requireSameDistances(t, want, routerDistances(r, src, targets, maxCost), label)
+						requireNoFalseCertificate(t, r, src, targets, maxCost, want, label)
+					}
 				}
 			}
 		})
 	}
 }
 
-// TestALTDisconnectedComponents pins both query kinds on a graph with two
-// disconnected components: cross-component answers must be ErrNoPath /
-// +Inf from both engines (the overlay proves unreachability outright).
+// TestALTDisconnectedComponents pins the overlay on a graph with two
+// disconnected components: cross-component distances must be +Inf, as
+// in plain Dijkstra, and the overlay proves the unreachability outright.
 func TestALTDisconnectedComponents(t *testing.T) {
 	g := &Graph{}
 	// Component A: a 3-node chain. Component B: a 2-node chain 5km away.
@@ -89,47 +109,23 @@ func TestALTDisconnectedComponents(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	dij := NewDijkstraRouter(g)
-	alt := NewALTRouter(g, BuildOverlay(g, OverlayOptions{Landmarks: 4}))
-	if _, err := alt.ShortestPath(a0, b1, ByDistance); err == nil {
-		t.Fatal("expected ErrNoPath across components")
-	}
-	want := dij.DistancesFrom(a0, []NodeID{a2, b0, b1}, 10000, ByDistance)
-	got := alt.DistancesFrom(a0, []NodeID{a2, b0, b1}, 10000, ByDistance)
+	alt := zeroGateRouter(g, BuildOverlay(g, OverlayOptions{Landmarks: 4}))
+	targets := []NodeID{a2, b0, b1}
+	want := distances(g, a0, targets, 10000)
+	got := routerDistances(alt, a0, targets, 10000)
 	requireSameDistances(t, want, got, "cross-component")
 	if !math.IsInf(got[1], 1) || !math.IsInf(got[2], 1) {
 		t.Fatalf("expected +Inf to the far component, got %v", got)
 	}
-}
-
-// TestALTForeignWeightFallsBack pins the metric guard: the overlay tables
-// are ByDistance-only, so a ByTravelTime query must route through plain
-// Dijkstra and agree with it exactly.
-func TestALTForeignWeightFallsBack(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	g := randomGrid(rng, 6, 200)
-	dij := NewDijkstraRouter(g)
-	alt := NewALTRouter(g, BuildOverlay(g, OverlayOptions{}))
-	for trial := 0; trial < 20; trial++ {
-		src := NodeID(rng.Intn(g.NumNodes()))
-		dst := NodeID(rng.Intn(g.NumNodes()))
-		wantP, wantErr := dij.ShortestPath(src, dst, ByTravelTime)
-		gotP, gotErr := alt.ShortestPath(src, dst, ByTravelTime)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("err mismatch: %v vs %v", gotErr, wantErr)
-		}
-		if wantErr == nil && math.Float64bits(wantP.Cost) != math.Float64bits(gotP.Cost) {
-			t.Fatalf("ByTravelTime cost %v, want %v", gotP.Cost, wantP.Cost)
-		}
-		want := dij.DistancesFrom(src, []NodeID{dst}, 5000, ByTravelTime)
-		got := alt.DistancesFrom(src, []NodeID{dst}, 5000, ByTravelTime)
-		requireSameDistances(t, want, got, "ByTravelTime distances")
+	if !alt.provablyBeyond(a0, b1, 10000) {
+		t.Fatal("the overlay did not certify the far component as unreachable")
 	}
+	requireNoFalseCertificate(t, alt, a0, targets, 10000, want, "cross-component")
 }
 
 // TestALTRouterDegradedOverlays pins the safety fallbacks of NewALTRouter:
-// a nil, empty, or wrong-graph overlay must yield the plain engine rather
-// than an engine that could answer wrongly.
+// a nil, empty, or wrong-graph overlay must yield the plain router (no
+// overlay, gate +Inf) rather than one that could answer wrongly.
 func TestALTRouterDegradedOverlays(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	g := randomGrid(rng, 5, 200)
@@ -139,37 +135,41 @@ func TestALTRouterDegradedOverlays(t *testing.T) {
 		"empty":    {},
 		"mismatch": BuildOverlay(small, OverlayOptions{}),
 	} {
-		if _, ok := NewALTRouter(g, o).(dijkstraRouter); !ok {
-			t.Fatalf("%s overlay: expected Dijkstra fallback", name)
+		if r := NewALTRouter(g, o); r.o != nil || !math.IsInf(r.gate, 1) {
+			t.Fatalf("%s overlay: expected the plain router, got overlay %p gate %v", name, r.o, r.gate)
 		}
 	}
-	if _, ok := NewALTRouter(g, BuildOverlay(g, OverlayOptions{})).(altRouter); !ok {
-		t.Fatal("matching overlay: expected ALT engine")
+	o := BuildOverlay(g, OverlayOptions{})
+	if r := NewALTRouter(g, o); r.o != o || math.IsInf(r.gate, 1) || r.gate <= 0 {
+		t.Fatalf("matching overlay: got overlay %p gate %v", r.o, r.gate)
 	}
 }
 
 // TestOverlayLowerBoundAdmissible checks the certified-bound contract the
-// HMM prefilter relies on: the raw triangle-inequality bound never
-// exceeds the true distance by more than the slack, and provablyBeyond
-// never certifies a reachable-within-budget pair as beyond it. The
-// router is built with a zero gate so every trial exercises the
-// certification path rather than the small-search opt-out.
+// HMM prefilter relies on: the triangle-inequality bound read from the
+// overlay's tables never exceeds the true distance by more than the
+// slack, and provablyBeyond never certifies a pair as beyond its exact
+// distance. The router is built with a zero gate so every trial
+// exercises the certification path rather than the small-search opt-out.
 func TestOverlayLowerBoundAdmissible(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := randomGrid(rng, 7, 180)
-	dij := NewDijkstraRouter(g)
 	o := BuildOverlay(g, OverlayOptions{})
-	alt := altRouter{g: g, o: o}
+	fwd, bwd := o.Tables()
+	alt := zeroGateRouter(g, o)
 	for trial := 0; trial < 200; trial++ {
 		u := NodeID(rng.Intn(g.NumNodes()))
 		v := NodeID(rng.Intn(g.NumNodes()))
-		lb := o.lowerBound(u, v)
-		p, err := dij.ShortestPath(u, v, ByDistance)
+		p, err := g.ShortestPath(u, v, ByDistance)
 		if err != nil {
 			continue // unreachable: any bound (including +Inf) is admissible
 		}
-		if lb-altSlackMeters > p.Cost {
-			t.Fatalf("lowerBound(%d,%d) = %v exceeds true distance %v", u, v, lb, p.Cost)
+		for i := range fwd {
+			for _, lb := range []float64{fwd[i][v] - fwd[i][u], bwd[i][u] - bwd[i][v]} {
+				if lb-altSlackMeters > p.Cost {
+					t.Fatalf("landmark %d bounds d(%d,%d) by %v, beyond the true distance %v", i, u, v, lb, p.Cost)
+				}
+			}
 		}
 		if alt.provablyBeyond(u, v, p.Cost) {
 			t.Fatalf("provablyBeyond(%d,%d, %v) certified the exact distance as beyond budget", u, v, p.Cost)
@@ -289,9 +289,10 @@ func TestNewOverlayFromTablesValidation(t *testing.T) {
 
 // TestHMMALTMatchesNaiveAcrossSamplingRates is the decimated-sampling
 // equivalence matrix: at every sampling rate — including the sparse
-// regimes where the transition bound stretches and the ALT prefilter
-// prunes hardest — the ALT-backed fast path must reproduce the naive
-// reference byte for byte, cold cache and warm.
+// regimes where the transition bound stretches — the overlay-backed
+// matcher must reproduce the reference decoder byte for byte, cold
+// cache and warm. The router has a zero gate, so every cache miss is
+// certified and searched through the overlay.
 func TestHMMALTMatchesNaiveAcrossSamplingRates(t *testing.T) {
 	for seed := int64(200); seed < 204; seed++ {
 		seed := seed
@@ -299,8 +300,8 @@ func TestHMMALTMatchesNaiveAcrossSamplingRates(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			n := 6 + rng.Intn(3)
 			g := randomGrid(rng, n, 150+rng.Float64()*100)
-			alt := NewALTRouter(g, BuildOverlay(g, OverlayOptions{}))
-			naive := newNaiveHMMMatcher(g, HMMOptions{})
+			alt := zeroGateRouter(g, BuildOverlay(g, OverlayOptions{}))
+			naive := newReferenceHMM(g)
 			dense := randomWalkPoints(rng, g, 120)
 			for _, factor := range []int{1, 2, 4, 8} {
 				pts := make([]geo.Point, 0, len(dense)/factor+1)
@@ -320,23 +321,26 @@ func TestHMMALTMatchesNaiveAcrossSamplingRates(t *testing.T) {
 	}
 }
 
-// TestHMMRouterSwapMidStream swaps engines between decodes of the same
+// TestHMMRouterSwapMidStream swaps routers between decodes of the same
 // matcher (what a model publish does to a serving summarizer) and pins
-// that the output never changes.
+// that the output never changes. The matcher has no distance cache, so
+// every decode asks the router it was given.
 func TestHMMRouterSwapMidStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	g := randomGrid(rng, 6, 200)
-	h := NewHMMMatcher(g, HMMOptions{Cache: NewSPCache(SPCacheOptions{Capacity: 2048})})
+	h := NewHMMMatcher(g, HMMOptions{})
 	pts := randomWalkPoints(rng, g, 60)
 	want := h.MatchPoints(pts)
-	h.SetRouter(NewALTRouter(g, BuildOverlay(g, OverlayOptions{})))
-	requireSameMatches(t, want, h.MatchPoints(pts), "after ALT swap")
+	h.SetRouter(zeroGateRouter(g, BuildOverlay(g, OverlayOptions{})))
+	requireSameMatches(t, want, h.MatchPoints(pts), "after overlay swap")
 	h.SetRouter(nil) // back to plain Dijkstra
 	requireSameMatches(t, want, h.MatchPoints(pts), "after fallback swap")
 }
 
 // FuzzALTEquivalence fuzzes the exactness property over generated grids,
-// endpoints and bounds; run by make fuzz-smoke.
+// endpoints and bounds: the zero-gate router's pruned search must match
+// plain bounded Dijkstra bit for bit, and provablyBeyond must never
+// certify a target that search reaches. Run by make fuzz-smoke.
 func FuzzALTEquivalence(f *testing.F) {
 	f.Add(int64(1), uint8(3), uint8(17), 900.0)
 	f.Add(int64(2), uint8(0), uint8(24), 120.0)
@@ -344,28 +348,14 @@ func FuzzALTEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64, a, b uint8, maxCost float64) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomGrid(rng, 5, 150+rng.Float64()*150)
-		dij := NewDijkstraRouter(g)
-		alt := NewALTRouter(g, BuildOverlay(g, OverlayOptions{Landmarks: 1 + int(a%8)}))
+		alt := zeroGateRouter(g, BuildOverlay(g, OverlayOptions{Landmarks: 1 + int(a%8)}))
 		src := NodeID(int(a) % g.NumNodes())
-		dst := NodeID(int(b) % g.NumNodes())
 		if math.IsNaN(maxCost) {
 			maxCost = 0
 		}
-		wantP, wantErr := dij.ShortestPath(src, dst, ByDistance)
-		gotP, gotErr := alt.ShortestPath(src, dst, ByDistance)
-		if (wantErr != nil) != (gotErr != nil) {
-			t.Fatalf("ShortestPath err %v != %v", gotErr, wantErr)
-		}
-		if wantErr == nil && math.Float64bits(wantP.Cost) != math.Float64bits(gotP.Cost) {
-			t.Fatalf("ShortestPath cost %v != %v", gotP.Cost, wantP.Cost)
-		}
-		targets := []NodeID{dst, src, NodeID(int(a+b) % g.NumNodes())}
-		want := dij.DistancesFrom(src, targets, maxCost, ByDistance)
-		got := alt.DistancesFrom(src, targets, maxCost, ByDistance)
-		for i := range want {
-			if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
-				t.Fatalf("DistancesFrom[%d] = %v, want %v", i, got[i], want[i])
-			}
-		}
+		targets := []NodeID{NodeID(int(b) % g.NumNodes()), src, NodeID(int(a+b) % g.NumNodes())}
+		want := distances(g, src, targets, maxCost)
+		requireSameDistances(t, want, routerDistances(alt, src, targets, maxCost), "distancesFromInto")
+		requireNoFalseCertificate(t, alt, src, targets, maxCost, want, "provablyBeyond")
 	})
 }

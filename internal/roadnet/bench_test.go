@@ -45,35 +45,6 @@ func BenchmarkShortestPath20x20(b *testing.B) {
 	}
 }
 
-// BenchmarkShortestPathDijkstra is the cold point-to-point baseline under
-// the ByDistance metric (the metric the ALT overlay accelerates), for a
-// like-for-like comparison with BenchmarkShortestPathALT.
-func BenchmarkShortestPathDijkstra(b *testing.B) {
-	g := benchGrid(20, 400)
-	r := NewDijkstraRouter(g)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.ShortestPath(0, NodeID(g.NumNodes()-1), ByDistance); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShortestPathALT runs the same cold query through goal-directed
-// A* over a precomputed landmark overlay.
-func BenchmarkShortestPathALT(b *testing.B) {
-	g := benchGrid(20, 400)
-	r := NewALTRouter(g, BuildOverlay(g, OverlayOptions{}))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := r.ShortestPath(0, NodeID(g.NumNodes()-1), ByDistance); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkTrainOverlay measures the one-time overlay precomputation Train
 // performs: landmark selection plus two full Dijkstras per landmark.
 func BenchmarkTrainOverlay(b *testing.B) {
@@ -124,7 +95,7 @@ func BenchmarkHMMMatch100Points(b *testing.B) {
 }
 
 // BenchmarkHMMMatch100PointsALT is the cold-cache decode with the ALT
-// engine behind transition scoring — the serving configuration once a
+// overlay behind transition scoring — the serving configuration once a
 // model with a precomputed overlay is published.
 func BenchmarkHMMMatch100PointsALT(b *testing.B) {
 	g := benchGrid(10, 400)
@@ -150,8 +121,8 @@ func benchSparseTrajectory(n, factor int) []geo.Point {
 	return out
 }
 
-// BenchmarkHMMMatchSparse decodes a 4x-decimated trajectory with the
-// plain Dijkstra engine.
+// BenchmarkHMMMatchSparse decodes a 4x-decimated trajectory with plain
+// bounded Dijkstra.
 func BenchmarkHMMMatchSparse(b *testing.B) {
 	g := benchGrid(10, 400)
 	h := NewHMMMatcher(g, HMMOptions{})
@@ -164,7 +135,8 @@ func BenchmarkHMMMatchSparse(b *testing.B) {
 }
 
 // BenchmarkHMMMatchSparseALT decodes the same sparse trajectory with the
-// ALT engine pruning the widened transition searches.
+// ALT overlay installed; the serving gate decides whether it prunes the
+// widened transition searches.
 func BenchmarkHMMMatchSparseALT(b *testing.B) {
 	g := benchGrid(10, 400)
 	h := NewHMMMatcher(g, HMMOptions{})
@@ -177,17 +149,17 @@ func BenchmarkHMMMatchSparseALT(b *testing.B) {
 	}
 }
 
-// BenchmarkHMMMatch100PointsNaive measures the pre-optimization reference
-// decode (point-to-point Dijkstras per candidate pair) on the same input,
-// for a like-for-like fast-vs-naive comparison.
+// BenchmarkHMMMatch100PointsNaive measures the reference decoder
+// (point-to-point Dijkstras per candidate pair) on the same input, for a
+// like-for-like comparison with the serving matcher.
 func BenchmarkHMMMatch100PointsNaive(b *testing.B) {
 	g := benchGrid(10, 400)
-	h := newNaiveHMMMatcher(g, HMMOptions{})
+	ref := newReferenceHMM(g)
 	pts := benchTrajectory(100)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		h.MatchPoints(pts)
+		ref.MatchPoints(pts)
 	}
 }
 
@@ -218,12 +190,12 @@ func benchStepCandidates(h *HMMMatcher) (prev, next []candidate, straight float6
 }
 
 // BenchmarkNetworkDistanceNaive scores one full Viterbi transition step
-// (every prev×next candidate pair) with point-to-point Dijkstras, the
-// pre-optimization code path.
+// (every prev×next candidate pair) with the reference decoder's
+// point-to-point Dijkstras.
 func BenchmarkNetworkDistanceNaive(b *testing.B) {
 	g := benchGrid(10, 400)
-	h := newNaiveHMMMatcher(g, HMMOptions{})
-	prev, next, _ := benchStepCandidates(h)
+	ref := newReferenceHMM(g)
+	prev, next, _ := benchStepCandidates(ref.h)
 	if len(prev) == 0 || len(next) == 0 {
 		b.Fatal("no candidates")
 	}
@@ -232,7 +204,7 @@ func BenchmarkNetworkDistanceNaive(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, a := range prev {
 			for _, c := range next {
-				h.networkDistance(a.match, c.match)
+				ref.networkDistance(a.match, c.match)
 			}
 		}
 	}
@@ -251,10 +223,10 @@ func BenchmarkNetworkDistanceFast(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sc := acquireStepScratch()
-		h.buildStepTable(h.Router(), sc, prev, next, straight)
+		h.buildStepTable(h.rt.Load(), sc, prev, next, straight)
 		for _, a := range prev {
 			for _, c := range next {
-				h.networkDistanceFast(sc, a.match, c.match)
+				h.networkDistance(sc, a.match, c.match)
 			}
 		}
 		releaseStepScratch(sc)

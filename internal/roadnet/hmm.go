@@ -14,17 +14,10 @@ import (
 // candidate edges per GPS sample; emissions score perpendicular distance,
 // transitions score the agreement between network distance and
 // great-circle distance; Viterbi decodes the most likely edge sequence.
+// The model's parameters are fixed (hmmSigmaMeters, hmmBetaMeters,
+// hmmCandidateRadiusMeters, hmmMaxCandidates); the only option is where
+// transition distances are cached.
 type HMMOptions struct {
-	// SigmaMeters is the GPS noise standard deviation (default 15).
-	SigmaMeters float64
-	// BetaMeters scales the transition penalty for route/great-circle
-	// disagreement (default 50).
-	BetaMeters float64
-	// CandidateRadiusMeters bounds the per-sample candidate search
-	// (default 120).
-	CandidateRadiusMeters float64
-	// MaxCandidates caps candidates per sample (default 4).
-	MaxCandidates int
 	// Cache, when non-nil, shares node-to-node shortest-path distances
 	// across MatchPoints calls (and across goroutines — the cache is
 	// concurrency-safe). Transition distances repeat heavily between
@@ -33,28 +26,25 @@ type HMMOptions struct {
 	Cache *SPCache
 }
 
-func (o HMMOptions) withDefaults() HMMOptions {
-	if o.SigmaMeters <= 0 {
-		o.SigmaMeters = 15
-	}
-	if o.BetaMeters <= 0 {
-		o.BetaMeters = 50
-	}
-	if o.CandidateRadiusMeters <= 0 {
-		o.CandidateRadiusMeters = 120
-	}
-	if o.MaxCandidates <= 0 {
-		o.MaxCandidates = 4
-	}
-	return o
-}
+const (
+	// hmmSigmaMeters is the GPS noise standard deviation of the emission
+	// model.
+	hmmSigmaMeters = 15
+	// hmmBetaMeters scales the transition penalty for route/great-circle
+	// disagreement.
+	hmmBetaMeters = 50
+	// hmmCandidateRadiusMeters bounds the per-sample candidate search.
+	hmmCandidateRadiusMeters = 120
+	// hmmMaxCandidates caps candidates per sample.
+	hmmMaxCandidates = 4
+)
 
-// transitionBoundBetas bounds the per-step shortest-path searches of the
-// fast transition path: routes longer than straight + transitionBoundBetas
-// × Beta are not searched for, since their transition log-probability is
-// below -transitionBoundBetas (e⁻³⁰ relative likelihood) and cannot
-// plausibly win the Viterbi maximisation. Pairs beyond the bound are
-// floored at exactly that penalty.
+// transitionBoundBetas bounds the per-step shortest-path searches of
+// transition scoring: routes longer than straight + transitionBoundBetas
+// × hmmBetaMeters are not searched for, since their transition
+// log-probability is below -transitionBoundBetas (e⁻³⁰ relative
+// likelihood) and cannot plausibly win the Viterbi maximisation. Pairs
+// beyond the bound are floored at exactly that penalty.
 const transitionBoundBetas = 30
 
 // HMMMatcher decodes the most likely edge sequence of a GPS point series.
@@ -63,63 +53,40 @@ const transitionBoundBetas = 30
 type HMMMatcher struct {
 	g     *Graph
 	m     *Matcher
-	opts  HMMOptions
 	cache *SPCache
 
 	// rt holds the routing engine behind transition scoring, swappable at
-	// runtime (SetRouter): a model publish installs an ALT engine over the
-	// model's precomputed overlay, and a model without one falls back to
-	// plain Dijkstra. Every engine returns bit-identical distances, so a
-	// swap during an in-flight decode is harmless.
-	rt atomic.Pointer[routerCell]
-
-	// naive switches transition scoring to the pre-optimization reference
-	// implementation (one point-to-point Dijkstra per endpoint combination
-	// per candidate pair). Kept for equivalence tests and benchmarks.
-	naive bool
+	// runtime (SetRouter): a model publish installs a router over the
+	// model's precomputed overlay, and a model without one gets plain
+	// bounded Dijkstra. Every router returns bit-identical distances, so
+	// a swap during an in-flight decode is harmless.
+	rt atomic.Pointer[Router]
 }
 
-// routerCell boxes the Router interface value so the engine can live
-// behind an atomic.Pointer (which needs one concrete type).
-type routerCell struct{ r Router }
-
 // NewHMMMatcher builds an HMM matcher over the graph, routing with plain
-// bounded Dijkstra until SetRouter installs another engine.
+// bounded Dijkstra until SetRouter installs another router.
 func NewHMMMatcher(g *Graph, opts HMMOptions) *HMMMatcher {
-	h := &HMMMatcher{g: g, m: NewMatcher(g), opts: opts.withDefaults(), cache: opts.Cache}
-	h.rt.Store(&routerCell{r: NewDijkstraRouter(g)})
+	h := &HMMMatcher{g: g, m: NewMatcher(g), cache: opts.Cache}
+	h.SetRouter(nil)
 	return h
 }
 
 // SetRouter atomically installs the routing engine behind transition
-// scoring; nil restores the plain Dijkstra engine. Safe to call while
-// MatchPoints traffic is in flight: each decode run snapshots the engine
-// once, and all engines are exact, so concurrent decodes produce the
-// same matches whichever engine they snapshotted.
-func (h *HMMMatcher) SetRouter(r Router) {
+// scoring; nil restores plain bounded Dijkstra. Safe to call while
+// MatchPoints traffic is in flight: each decode run snapshots the router
+// once, and all routers are exact, so concurrent decodes produce the
+// same matches whichever router they snapshotted.
+func (h *HMMMatcher) SetRouter(r *Router) {
 	if r == nil {
-		r = NewDijkstraRouter(h.g)
+		r = NewALTRouter(h.g, nil)
 	}
-	h.rt.Store(&routerCell{r: r})
+	h.rt.Store(r)
 }
-
-// Router returns the engine currently behind transition scoring.
-func (h *HMMMatcher) Router() Router { return h.rt.Load().r }
 
 // Matcher returns the nearest-edge matcher whose index supplies the
 // candidate edges, so a caller that also matches greedily can share the
 // one edge index instead of building a second.
 func (h *HMMMatcher) Matcher() *Matcher { return h.m }
-
-// newNaiveHMMMatcher builds a matcher whose transitions use the
-// pre-optimization per-pair searches — the reference implementation that
-// the fast path must reproduce byte for byte (see hmm_equiv_test.go).
-func newNaiveHMMMatcher(g *Graph, opts HMMOptions) *HMMMatcher {
-	h := NewHMMMatcher(g, opts)
-	h.naive = true
-	h.cache = nil
-	return h
-}
 
 // candidate is one per-sample state.
 type candidate struct {
@@ -167,13 +134,10 @@ func (h *HMMMatcher) decodeRun(sc *stepScratch, points []geo.Point, start int, o
 		sc.back = append(sc.back, -1)
 	}
 
-	var rt Router
-	if !h.naive {
-		// One engine snapshot per decode run: a concurrent SetRouter never
-		// mixes engines within a run (and would be harmless if it did —
-		// engines are exact).
-		rt = h.rt.Load().r
-	}
+	// One router snapshot per decode run: a concurrent SetRouter never
+	// mixes routers within a run (and would be harmless if it did —
+	// routers are exact).
+	rt := h.rt.Load()
 
 	end := start + 1
 	for ; end < len(points); end++ {
@@ -184,24 +148,15 @@ func (h *HMMMatcher) decodeRun(sc *stepScratch, points []geo.Point, start int, o
 		prev := sc.cands[sc.bounds[s-1]:sc.bounds[s]]
 		cur := sc.cands[sc.bounds[s]:sc.bounds[s+1]]
 		straight := geo.Distance(points[end-1], points[end])
-		if !h.naive {
-			// Fast path: one bounded multi-target search per distinct
-			// candidate endpoint node (≤ 2·MaxCandidates, cache misses
-			// only) replaces the naive 4 × |prev| × |next| point-to-point
-			// searches of this step.
-			h.buildStepTable(rt, sc, prev, cur, straight)
-		}
+		// One bounded multi-target search per distinct candidate endpoint
+		// node (≤ 2·hmmMaxCandidates, cache misses only) fills the
+		// step's distance table.
+		h.buildStepTable(rt, sc, prev, cur, straight)
 		next = next[:0]
 		for _, nc := range cur {
 			best, bestFrom := math.Inf(-1), -1
 			for i, pc := range prev {
-				var trans float64
-				if !h.naive {
-					trans = h.transitionFast(sc, pc.match, nc.match, straight)
-				} else {
-					trans = h.transition(pc.match, nc.match, straight)
-				}
-				if p := probs[i] + trans; p > best {
+				if p := probs[i] + h.transition(sc, pc.match, nc.match, straight); p > best {
 					best, bestFrom = p, i
 				}
 			}
@@ -231,81 +186,22 @@ func (h *HMMMatcher) decodeRun(sc *stepScratch, points []geo.Point, start int, o
 // lattice in sc as its next step. It reports false, adding no step,
 // when p has no candidate.
 func (h *HMMMatcher) appendStep(sc *stepScratch, p geo.Point) bool {
-	sc.matches = h.m.appendCandidates(sc.matches[:0], &sc.match, p, h.opts.CandidateRadiusMeters, h.opts.MaxCandidates)
+	sc.matches = h.m.appendCandidates(sc.matches[:0], &sc.match, p, hmmCandidateRadiusMeters, hmmMaxCandidates)
 	if len(sc.matches) == 0 {
 		return false
 	}
 	for _, m := range sc.matches {
 		// log of the Gaussian emission N(0, sigma) at distance d.
-		z := m.Distance / h.opts.SigmaMeters
+		z := m.Distance / hmmSigmaMeters
 		sc.cands = append(sc.cands, candidate{match: m, emission: -0.5 * z * z})
 	}
 	sc.bounds = append(sc.bounds, len(sc.cands))
 	return true
 }
 
-// transition returns the log transition probability between consecutive
-// candidates: an exponential penalty on |network distance − straight-line
-// distance| (Newson & Krumm's key observation that correct matches make
-// the two nearly equal). This is the naive-path scorer; the serving path
-// uses transitionFast over a per-step distance table.
-func (h *HMMMatcher) transition(a, b Match, straight float64) float64 {
-	network := h.networkDistance(a, b)
-	diff := math.Abs(network - straight)
-	return -diff / h.opts.BetaMeters
-}
-
-// networkDistance approximates driving distance between two on-edge
-// positions: along-edge when both lie on the same edge, otherwise the
-// best combination of residual edge distance plus a node-level shortest
-// path between the edges' endpoints. It launches up to four full
-// point-to-point searches; kept as the reference implementation for the
-// fast path (networkDistanceFast).
-func (h *HMMMatcher) networkDistance(a, b Match) float64 {
-	if a.Edge.ID == b.Edge.ID {
-		return math.Abs(a.Along - b.Along)
-	}
-	best := math.Inf(1)
-	for _, fromEnd := range [2]struct {
-		node NodeID
-		cost float64
-	}{
-		{a.Edge.From, a.Along},
-		{a.Edge.To, a.Edge.Length() - a.Along},
-	} {
-		for _, toEnd := range [2]struct {
-			node NodeID
-			cost float64
-		}{
-			{b.Edge.From, b.Along},
-			{b.Edge.To, b.Edge.Length() - b.Along},
-		} {
-			var mid float64
-			if fromEnd.node != toEnd.node {
-				path, err := h.g.ShortestPath(fromEnd.node, toEnd.node, ByDistance)
-				if err != nil {
-					continue
-				}
-				mid = path.Cost
-			}
-			if total := fromEnd.cost + mid + toEnd.cost; total < best {
-				best = total
-			}
-		}
-	}
-	if math.IsInf(best, 1) {
-		// Disconnected in the directed graph: fall back to the straight
-		// line between the actual matched positions on each edge, so the
-		// transition is scored by how far apart the match points really
-		// are — merely very unlikely, not impossible.
-		return geo.Distance(a.Point(), b.Point())
-	}
-	return best
-}
-
 // stepScratch is the reusable memory of one MatchPoints call: the
 // Viterbi lattice of the current run with the candidate queries that fill
-// it, and the per-step transition distance table of the fast path — the
+// it, and the per-step transition distance table — the
 // distinct candidate endpoint nodes of the previous and next Viterbi
 // step, and one row of bounded shortest-path distances per source node.
 // Pooled so steady-state decoding allocates nothing here.
@@ -337,8 +233,8 @@ func acquireStepScratch() *stepScratch { return stepScratchPool.Get().(*stepScra
 func releaseStepScratch(sc *stepScratch) { stepScratchPool.Put(sc) }
 
 // appendNodeDedup appends n unless already present (candidate endpoint
-// lists hold at most 2·MaxCandidates nodes, so a linear scan wins over any
-// set structure).
+// lists hold at most 2·hmmMaxCandidates nodes, so a linear scan wins over
+// any set structure).
 func appendNodeDedup(list []NodeID, n NodeID) []NodeID {
 	for _, x := range list {
 		if x == n {
@@ -354,8 +250,8 @@ func appendNodeDedup(list []NodeID, n NodeID) []NodeID {
 // next candidates. Distances come from the shared cache when possible;
 // the misses of each source node are resolved with a single bounded
 // multi-target search.
-func (h *HMMMatcher) buildStepTable(rt Router, sc *stepScratch, prev, next []candidate, straight float64) {
-	sc.maxCost = straight + transitionBoundBetas*h.opts.BetaMeters
+func (h *HMMMatcher) buildStepTable(rt *Router, sc *stepScratch, prev, next []candidate, straight float64) {
+	sc.maxCost = straight + transitionBoundBetas*hmmBetaMeters
 	sc.srcs = sc.srcs[:0]
 	sc.tgts = sc.tgts[:0]
 	for _, c := range prev {
@@ -387,7 +283,7 @@ func (h *HMMMatcher) buildStepTable(rt Router, sc *stepScratch, prev, next []can
 // straight-line gaps force exactly the long-range searches that degrade
 // worst — and finally one bounded multi-target search over the remaining
 // misses, whose results are written back to the cache.
-func (h *HMMMatcher) fillRow(rt Router, sc *stepScratch, src NodeID, row []float64) {
+func (h *HMMMatcher) fillRow(rt *Router, sc *stepScratch, src NodeID, row []float64) {
 	sc.missTgts = sc.missTgts[:0]
 	sc.missIdx = sc.missIdx[:0]
 	for ti, t := range sc.tgts {
@@ -421,7 +317,7 @@ func (h *HMMMatcher) fillRow(rt Router, sc *stepScratch, src NodeID, row []float
 		sc.missOut = make([]float64, len(sc.missTgts))
 	}
 	out := sc.missOut[:len(sc.missTgts)]
-	rt.distancesFromInto(src, sc.missTgts, sc.maxCost, ByDistance, out)
+	rt.distancesFromInto(src, sc.missTgts, sc.maxCost, out)
 	for i, ti := range sc.missIdx {
 		h.cache.Store(src, sc.missTgts[i], out[i], sc.maxCost)
 		row[ti] = out[i]
@@ -449,18 +345,24 @@ func (sc *stepScratch) dist(src, dst NodeID) float64 {
 	return math.Inf(1)
 }
 
-// transitionFast is transition over the step's precomputed distance table.
-func (h *HMMMatcher) transitionFast(sc *stepScratch, a, b Match, straight float64) float64 {
-	network := h.networkDistanceFast(sc, a, b)
+// transition returns the log transition probability between consecutive
+// candidates: an exponential penalty on |network distance − straight-line
+// distance| (Newson & Krumm's key observation that correct matches make
+// the two nearly equal).
+func (h *HMMMatcher) transition(sc *stepScratch, a, b Match, straight float64) float64 {
+	network := h.networkDistance(sc, a, b)
 	diff := math.Abs(network - straight)
-	return -diff / h.opts.BetaMeters
+	return -diff / hmmBetaMeters
 }
 
-// networkDistanceFast is networkDistance reading the node-level shortest
-// paths from the step table instead of searching per pair. Pairs whose
-// best route exceeds the step bound (or that are disconnected) are floored
-// at the bound, i.e. a log-probability of exactly -transitionBoundBetas.
-func (h *HMMMatcher) networkDistanceFast(sc *stepScratch, a, b Match) float64 {
+// networkDistance approximates driving distance between two on-edge
+// positions: along-edge when both lie on the same edge, otherwise the
+// best combination of residual edge distance plus a node-level shortest
+// path between the edges' endpoints, read from the step table. Pairs
+// whose best route exceeds the step bound (or that are disconnected) are
+// floored at the bound, i.e. a log-probability of exactly
+// -transitionBoundBetas.
+func (h *HMMMatcher) networkDistance(sc *stepScratch, a, b Match) float64 {
 	if a.Edge.ID == b.Edge.ID {
 		return math.Abs(a.Along - b.Along)
 	}

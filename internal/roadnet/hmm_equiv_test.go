@@ -11,8 +11,8 @@ import (
 )
 
 // randomGrid builds an n×n grid graph with randomized grades, widths, and
-// a sprinkle of one-way edges, for property testing the fast-path matcher
-// against the naive reference.
+// a sprinkle of one-way edges, for property testing the matcher against
+// the reference decoder.
 func randomGrid(rng *rand.Rand, n int, spacing float64) *Graph {
 	g := &Graph{}
 	for r := 0; r < n; r++ {
@@ -106,11 +106,11 @@ func requireSameMatches(t *testing.T, want, got []Match, label string) {
 	}
 }
 
-// TestHMMFastMatchesNaiveReference is the fast path's equivalence
-// property: across randomized grid graphs and trajectories, the optimized
+// TestHMMFastMatchesNaiveReference is the matcher's equivalence
+// property: across randomized grid graphs and trajectories, the serving
 // matcher (bounded multi-target searches, pooled state, shared distance
-// cache) must produce byte-identical output to the pre-optimization
-// reference, both with a cold and a warm cache.
+// cache) must produce byte-identical output to the reference decoder,
+// both with a cold and a warm cache.
 func TestHMMFastMatchesNaiveReference(t *testing.T) {
 	for seed := int64(0); seed < 6; seed++ {
 		seed := seed
@@ -121,7 +121,7 @@ func TestHMMFastMatchesNaiveReference(t *testing.T) {
 			g := randomGrid(rng, n, spacing)
 			cache := NewSPCache(SPCacheOptions{Capacity: 4096})
 			fast := NewHMMMatcher(g, HMMOptions{Cache: cache})
-			naive := newNaiveHMMMatcher(g, HMMOptions{})
+			naive := newReferenceHMM(g)
 			for trial := 0; trial < 3; trial++ {
 				pts := randomWalkPoints(rng, g, 60)
 				want := naive.MatchPoints(pts)
@@ -137,13 +137,13 @@ func TestHMMFastMatchesNaiveReference(t *testing.T) {
 	}
 }
 
-// TestHMMFastNoCacheMatchesNaive pins the cache-free fast path (a nil
+// TestHMMFastNoCacheMatchesNaive pins the cache-free matcher (a nil
 // HMMOptions.Cache) to the same equivalence.
 func TestHMMFastNoCacheMatchesNaive(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	g := randomGrid(rng, 7, 200)
 	fast := NewHMMMatcher(g, HMMOptions{}) // nil cache
-	naive := newNaiveHMMMatcher(g, HMMOptions{})
+	naive := newReferenceHMM(g)
 	pts := randomWalkPoints(rng, g, 80)
 	requireSameMatches(t, naive.MatchPoints(pts), fast.MatchPoints(pts), "no-cache")
 }
@@ -202,7 +202,7 @@ func TestHMMSharedCacheConcurrent(t *testing.T) {
 	}
 }
 
-// TestHMMDisconnectedFallbackUsesMatchPoints pins the naive reference's
+// TestHMMDisconnectedFallbackUsesMatchPoints pins the reference decoder's
 // repaired disconnected-graph fallback: the distance must be measured
 // between the actual matched positions, not the edges' first geometry
 // vertices.
@@ -223,7 +223,7 @@ func TestHMMDisconnectedFallbackUsesMatchPoints(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := newNaiveHMMMatcher(g, HMMOptions{})
+	h := newReferenceHMM(g)
 	a := Match{Edge: g.Edge(ea), Along: 900}
 	b := Match{Edge: g.Edge(eb), Along: 200}
 	got := h.networkDistance(a, b)

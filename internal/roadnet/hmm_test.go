@@ -100,7 +100,7 @@ func TestHMMAlongIsMonotonic(t *testing.T) {
 
 func TestHMMGapRestartsChain(t *testing.T) {
 	g, south, _ := parallelRoads(t)
-	h := NewHMMMatcher(g, HMMOptions{CandidateRadiusMeters: 100})
+	h := NewHMMMatcher(g, HMMOptions{})
 	pts := []geo.Point{
 		geo.Destination(testOrigin, 90, 100),
 		geo.Destination(testOrigin, 180, 5000), // far off the network
@@ -132,15 +132,11 @@ func TestHMMNetworkDistanceSameEdge(t *testing.T) {
 	e := g.Edge(south)
 	a := Match{Edge: e, Along: 100}
 	b := Match{Edge: e, Along: 350}
-	if d := h.networkDistance(a, b); d != 250 {
+	if d := h.networkDistance(new(stepScratch), a, b); d != 250 {
 		t.Fatalf("same-edge distance = %v", d)
 	}
-}
-
-func TestHMMOptionsDefaults(t *testing.T) {
-	o := HMMOptions{}.withDefaults()
-	if o.SigmaMeters != 15 || o.BetaMeters != 50 || o.CandidateRadiusMeters != 120 || o.MaxCandidates != 4 {
-		t.Fatalf("defaults = %+v", o)
+	if d := newReferenceHMM(g).networkDistance(a, b); d != 250 {
+		t.Fatalf("reference same-edge distance = %v", d)
 	}
 }
 

@@ -4,10 +4,11 @@ import (
 	"math"
 )
 
-// DistancesFrom computes shortest-path distances from src to every node in
-// targets with a single bounded Dijkstra search, instead of one
-// point-to-point search per target. The result is parallel to targets;
-// entry i is +Inf when targets[i] was not settled within the bound.
+// distancesFrom computes ByDistance shortest-path distances from src to
+// every node in targets with a single bounded Dijkstra search, instead
+// of one point-to-point search per target, writing them into out
+// (len(out) must equal len(targets)). Entry i is +Inf when targets[i]
+// was not settled within the bound.
 //
 // maxCost bounds the search: the frontier is abandoned as soon as its
 // minimum tentative distance exceeds maxCost, so a finite result d always
@@ -17,28 +18,15 @@ import (
 // in-range target is settled, whichever comes first.
 //
 // Out-of-range src or targets yield +Inf entries. Duplicate targets are
-// fine. DistancesFrom allocates only the result slice; the O(nodes) search
-// state is pooled (see searchstate.go), so it is safe and cheap to call
-// from many goroutines.
-func (g *Graph) DistancesFrom(src NodeID, targets []NodeID, maxCost float64, weight WeightFunc) []float64 {
-	out := make([]float64, len(targets))
-	g.distancesFrom(src, targets, maxCost, weight, out)
-	return out
-}
-
-// distancesFrom is DistancesFrom writing into a caller-provided slice
-// (len(out) must equal len(targets)) so hot paths can avoid the result
-// allocation.
-func (g *Graph) distancesFrom(src NodeID, targets []NodeID, maxCost float64, weight WeightFunc, out []float64) {
+// fine. The O(nodes) search state is pooled (see searchstate.go), so it
+// is safe and cheap to call from many goroutines.
+func (g *Graph) distancesFrom(src NodeID, targets []NodeID, maxCost float64, out []float64) {
 	for i := range out {
 		out[i] = math.Inf(1)
 	}
 	n := len(g.nodes)
 	if int(src) < 0 || int(src) >= n || len(targets) == 0 {
 		return
-	}
-	if weight == nil {
-		weight = ByDistance
 	}
 	if maxCost <= 0 {
 		maxCost = math.Inf(1)
@@ -91,7 +79,7 @@ func (g *Graph) distancesFrom(src NodeID, targets []NodeID, maxCost float64, wei
 			if s.settled[v] == s.gen {
 				continue
 			}
-			w := weight(e, a.reverse)
+			w := ByDistance(e, a.reverse)
 			if w < 0 {
 				w = 0
 			}

@@ -6,6 +6,13 @@ import (
 	"testing"
 )
 
+// distances runs the bounded multi-target search into a fresh slice.
+func distances(g *Graph, src NodeID, targets []NodeID, maxCost float64) []float64 {
+	out := make([]float64, len(targets))
+	g.distancesFrom(src, targets, maxCost, out)
+	return out
+}
+
 // TestDistancesFromMatchesShortestPath is the multi-target search's core
 // property: every unbounded result equals the point-to-point Dijkstra's
 // cost exactly (bit-for-bit — the fast path's equivalence guarantee leans
@@ -21,7 +28,7 @@ func TestDistancesFromMatchesShortestPath(t *testing.T) {
 				targets = append(targets, NodeID(rng.Intn(g.NumNodes())))
 			}
 			targets = append(targets, src, targets[0]) // duplicates and self
-			got := g.DistancesFrom(src, targets, 0, ByDistance)
+			got := distances(g, src, targets, 0)
 			for i, dst := range targets {
 				path, err := g.ShortestPath(src, dst, ByDistance)
 				if err != nil {
@@ -50,7 +57,7 @@ func TestDistancesFromBounded(t *testing.T) {
 		targets[i] = NodeID(i)
 	}
 	const bound = 1200.0
-	got := g.DistancesFrom(src, targets, bound, ByDistance)
+	got := distances(g, src, targets, bound)
 	sawFinite, sawInf := false, false
 	for i, dst := range targets {
 		path, err := g.ShortestPath(src, dst, ByDistance)
@@ -78,18 +85,18 @@ func TestDistancesFromEdgeCases(t *testing.T) {
 	g := buildGrid(t, 3, 400)
 
 	// Empty targets.
-	if got := g.DistancesFrom(0, nil, 0, nil); len(got) != 0 {
+	if got := distances(g, 0, nil, 0); len(got) != 0 {
 		t.Fatalf("empty targets = %v", got)
 	}
 	// Out-of-range source: all +Inf.
-	got := g.DistancesFrom(-1, []NodeID{0, 1}, 0, nil)
+	got := distances(g, -1, []NodeID{0, 1}, 0)
 	for i, d := range got {
 		if !math.IsInf(d, 1) {
 			t.Fatalf("out-of-range src target %d = %v", i, d)
 		}
 	}
 	// Out-of-range targets stay +Inf; valid ones resolve.
-	got = g.DistancesFrom(0, []NodeID{-5, 1, NodeID(g.NumNodes() + 3)}, 0, nil)
+	got = distances(g, 0, []NodeID{-5, 1, NodeID(g.NumNodes() + 3)}, 0)
 	if !math.IsInf(got[0], 1) || !math.IsInf(got[2], 1) {
 		t.Fatalf("out-of-range targets = %v", got)
 	}
@@ -97,14 +104,8 @@ func TestDistancesFromEdgeCases(t *testing.T) {
 		t.Fatalf("valid target unresolved: %v", got)
 	}
 	// Source as its own target: zero.
-	if got := g.DistancesFrom(4, []NodeID{4}, 0, nil); got[0] != 0 {
+	if got := distances(g, 4, []NodeID{4}, 0); got[0] != 0 {
 		t.Fatalf("self distance = %v", got)
-	}
-	// Nil weight defaults to ByDistance, as in ShortestPath.
-	a := g.DistancesFrom(0, []NodeID{8}, 0, nil)
-	path, err := g.ShortestPath(0, 8, ByDistance)
-	if err != nil || a[0] != path.Cost {
-		t.Fatalf("nil-weight distance %v, want %v", a[0], path)
 	}
 }
 

@@ -6,7 +6,7 @@ import (
 )
 
 // This file holds the pooled, epoch-stamped scratch state behind every
-// Dijkstra search in the package (ShortestPath and DistancesFrom). The
+// Dijkstra search in the package (ShortestPath and distancesFrom). The
 // serving path runs thousands of searches per request, so the per-search
 // O(nodes) allocations of the naive implementation — dist/prev/done arrays
 // plus a heap-item map — dominated both time and garbage. Instead:

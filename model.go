@@ -338,16 +338,12 @@ func (s *Summarizer) publish(m Model) *Model {
 		m.version = prev + 1
 	}
 	s.model.Store(&m)
-	// Re-point the HMM matcher's routing engine at the new model's
-	// overlay (or back to plain Dijkstra when it has none). Engines are
-	// exact — bit-identical distances — so requests in flight during the
-	// swap are unaffected whichever engine answers them.
+	// Re-point the HMM matcher's router at the new model's overlay (plain
+	// bounded Dijkstra when it has none). Routers are exact —
+	// bit-identical distances — so requests in flight during the swap
+	// are unaffected whichever router answers them.
 	if h := s.ctx.HMM; h != nil {
-		if m.overlay != nil {
-			h.SetRouter(roadnet.NewALTRouter(s.cfg.Graph, m.overlay))
-		} else {
-			h.SetRouter(nil)
-		}
+		h.SetRouter(roadnet.NewALTRouter(s.cfg.Graph, m.overlay))
 	}
 	s.mx.Counter(MetricModelSwaps).Inc()
 	s.mx.Counter(MetricModelVersion).Set(int64(m.version)) //nolint:stmaker/metricnames -- model_version is a gauge (set to the serving model's version), so the _total counter suffix does not apply

@@ -94,7 +94,6 @@ func (a *HistoryAccumulator) Clone() *HistoryAccumulator {
 func (s *Summarizer) AccumulateHistory(acc *HistoryAccumulator, sym *traj.Symbolic) {
 	tctx := feature.NewContext(s.ctx.Graph, s.ctx.Matcher, s.ctx.Landmarks)
 	tctx.HMM = s.ctx.HMM
-	tctx.MatchRadiusMeters = s.ctx.MatchRadiusMeters
 	for _, seg := range sym.Segments() {
 		v := s.registry.Extract(seg, tctx)
 		acc.featMap.Add(seg.From.Landmark, seg.To.Landmark, v)
@@ -125,8 +124,8 @@ func (s *Summarizer) buildModel(acc *HistoryAccumulator, stats TrainStats) *Mode
 	overlay := s.routingOverlay(&stats)
 	return &Model{
 		featureKeys:             s.featureKeys(),
-		calibrationRadiusMeters: s.cfg.CalibrationRadiusMeters,
-		minAnchorSpacingMeters:  s.cfg.MinAnchorSpacingMeters,
+		calibrationRadiusMeters: anchorRadiusMeters,
+		minAnchorSpacingMeters:  anchorSpacingMeters,
 		stats:                   stats,
 		popular:                 history.BuildPopularFromSequences(acc.seqs),
 		featMap:                 acc.featMap,

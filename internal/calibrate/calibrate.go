@@ -35,21 +35,19 @@ type Options struct {
 	// MinSpacingMeters drops an anchor when it follows the previous kept
 	// anchor by less than this along-route distance; 0 keeps all anchors.
 	MinSpacingMeters float64
-	// RevisitGapMeters is the minimum along-route separation for two
-	// passes of the same landmark to count as distinct visits (a loop),
-	// rather than duplicate detections of one pass (default 3× radius).
-	RevisitGapMeters float64
 }
 
 func (o Options) withDefaults() Options {
 	if o.RadiusMeters <= 0 {
 		o.RadiusMeters = 100
 	}
-	if o.RevisitGapMeters <= 0 {
-		o.RevisitGapMeters = 3 * o.RadiusMeters
-	}
 	return o
 }
+
+// revisitGapRadii is the minimum along-route separation, in anchor radii,
+// for two passes of the same landmark to count as distinct visits (a
+// loop) rather than duplicate detections of one pass.
+const revisitGapRadii = 3
 
 // Calibrator converts raw trajectories to symbolic trajectories against a
 // fixed landmark set.
@@ -103,7 +101,7 @@ func (c *Calibrator) Calibrate(r *traj.Raw) (*traj.Symbolic, error) {
 	sc := scratchPool.Get().(*scratch)
 	defer scratchPool.Put(sc)
 	anchors := c.collectAnchors(sc, r)
-	anchors = dedupeAnchors(sc, anchors, c.opts.RevisitGapMeters)
+	anchors = dedupeAnchors(sc, anchors, revisitGapRadii*c.opts.RadiusMeters)
 	anchors = enforceSpacing(anchors, c.opts.MinSpacingMeters)
 	if len(anchors) < 2 {
 		return nil, ErrTooFewAnchors

@@ -213,7 +213,7 @@ func TestPassingTimeInterpolated(t *testing.T) {
 
 func TestDefaults(t *testing.T) {
 	o := Options{}.withDefaults()
-	if o.RadiusMeters != 100 || o.RevisitGapMeters != 300 {
+	if o.RadiusMeters != 100 {
 		t.Fatalf("defaults = %+v", o)
 	}
 }

@@ -70,6 +70,10 @@ type Extractor interface {
 	Extract(seg traj.Segment, ctx *Context) float64
 }
 
+// matchRadiusMeters bounds the sample-to-edge distance of greedy
+// nearest-edge matching.
+const matchRadiusMeters = 150
+
 // Context carries the external semantic resources extractors may consult,
 // plus a per-segment map-matching cache shared by the routing extractors.
 // The cache is synchronized, so one Context may serve concurrent
@@ -83,10 +87,6 @@ type Context struct {
 	// joint Viterbi decoding over each segment's samples — slower but
 	// robust to GPS noise near parallel roads.
 	HMM *roadnet.HMMMatcher
-
-	// MatchRadiusMeters bounds the sample-to-edge matching distance
-	// (default 150).
-	MatchRadiusMeters float64
 
 	mu        sync.Mutex
 	edgeCache map[*traj.Symbolic][]segEdges
@@ -102,11 +102,10 @@ type segEdges struct {
 // NewContext builds a context over the given map resources.
 func NewContext(g *roadnet.Graph, m *roadnet.Matcher, lms *landmark.Set) *Context {
 	return &Context{
-		Graph:             g,
-		Matcher:           m,
-		Landmarks:         lms,
-		MatchRadiusMeters: 150,
-		edgeCache:         make(map[*traj.Symbolic][]segEdges),
+		Graph:     g,
+		Matcher:   m,
+		Landmarks: lms,
+		edgeCache: make(map[*traj.Symbolic][]segEdges),
 	}
 }
 
@@ -143,7 +142,7 @@ func (ctx *Context) SegmentEdges(seg traj.Segment) []*roadnet.Edge {
 		}
 	} else {
 		for _, s := range samples {
-			if m, ok := ctx.Matcher.NearestEdge(s.Pt, ctx.MatchRadiusMeters); ok {
+			if m, ok := ctx.Matcher.NearestEdge(s.Pt, matchRadiusMeters); ok {
 				edges = append(edges, m.Edge)
 			}
 		}

@@ -288,14 +288,15 @@ func (s *Summarizer) checkCompatible(m *Model) error {
 		}
 	}
 	// Bit-exact comparison: the parameters are copied verbatim from the
-	// resolved Config at build time, so any drift is a real config change.
-	if math.Float64bits(m.calibrationRadiusMeters) != math.Float64bits(s.cfg.CalibrationRadiusMeters) {
+	// summarizer's constants at build time, so any drift means the model
+	// was calibrated differently.
+	if math.Float64bits(m.calibrationRadiusMeters) != math.Float64bits(anchorRadiusMeters) {
 		return fmt.Errorf("%w: model calibrated with radius %gm, summarizer uses %gm",
-			ErrModelMismatch, m.calibrationRadiusMeters, s.cfg.CalibrationRadiusMeters)
+			ErrModelMismatch, m.calibrationRadiusMeters, float64(anchorRadiusMeters))
 	}
-	if math.Float64bits(m.minAnchorSpacingMeters) != math.Float64bits(s.cfg.MinAnchorSpacingMeters) {
+	if math.Float64bits(m.minAnchorSpacingMeters) != math.Float64bits(anchorSpacingMeters) {
 		return fmt.Errorf("%w: model calibrated with anchor spacing %gm, summarizer uses %gm",
-			ErrModelMismatch, m.minAnchorSpacingMeters, s.cfg.MinAnchorSpacingMeters)
+			ErrModelMismatch, m.minAnchorSpacingMeters, float64(anchorSpacingMeters))
 	}
 	// The overlay's distance tables are keyed by node id, so a model whose
 	// overlay was built over a different road graph would hand out bounds

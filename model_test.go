@@ -288,13 +288,22 @@ func TestLoadModelRejectsMismatch(t *testing.T) {
 		t.Errorf("extra-feature model load err = %v, want ErrModelMismatch", err)
 	}
 
-	// Calibration parameter drift.
-	s3, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks, CalibrationRadiusMeters: 120})
+	// Calibration parameter drift: a model calibrated with another anchor
+	// radius, or another anchor spacing.
+	s3, err := New(baseCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s3.LoadModel(defaultModel); !errors.Is(err, ErrModelMismatch) {
-		t.Errorf("calibration-drift model load err = %v, want ErrModelMismatch", err)
+	radiusDrift, spacingDrift := *defaultModel, *defaultModel
+	radiusDrift.calibrationRadiusMeters = 120
+	spacingDrift.minAnchorSpacingMeters = 40
+	for name, m := range map[string]*Model{"radius": &radiusDrift, "spacing": &spacingDrift} {
+		if err := s3.LoadModel(m); !errors.Is(err, ErrModelMismatch) {
+			t.Errorf("%s-drift model load err = %v, want ErrModelMismatch", name, err)
+		}
+	}
+	if s3.Trained() {
+		t.Error("rejected drifted load still published a model")
 	}
 
 	// Nil model and registration-after-load guards.
@@ -439,8 +448,11 @@ func TestLoadModelFileClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	other, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks, CalibrationRadiusMeters: 123})
+	other, err := New(Config{Graph: city.Graph, Landmarks: city.Landmarks})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if err := other.RegisterFeature(feature.NewSpeedChange(), nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := other.LoadModel(m); !errors.Is(err, ErrModelMismatch) {

@@ -121,24 +121,16 @@ func IsInputError(err error) bool { return errors.Is(err, ErrInvalidInput) }
 
 // Config configures a Summarizer. Graph and Landmarks are required; every
 // other field has a sensible default matching the paper's experimental
-// settings (§VII-B).
+// settings (§VII-B). The settings no caller varies are fixed: the
+// calibration anchor radius (100 m), the minimum anchor spacing (50 m)
+// and the partition's significance weight Ca (partition.DefaultCa, the
+// paper's 0.5).
 type Config struct {
 	// Graph is the road network providing routing features.
 	Graph *roadnet.Graph
 	// Landmarks is the landmark dataset with significance scores.
 	Landmarks *landmark.Set
 
-	// CalibrationRadiusMeters is the anchor radius for rewriting raw
-	// trajectories into symbolic ones (default 100).
-	CalibrationRadiusMeters float64
-	// MinAnchorSpacingMeters thins dense anchors: co-located landmarks
-	// (e.g. a POI cluster centre on an intersection) otherwise create
-	// degenerate zero-length segments. Default 50; negative disables
-	// thinning.
-	MinAnchorSpacingMeters float64
-	// Ca weights landmark significance in the partition potential
-	// (default 0.5, the paper's setting).
-	Ca float64
 	// Threshold is the irregular-rate threshold η above which a feature is
 	// described (default 0.2, the paper's setting).
 	Threshold float64
@@ -171,6 +163,16 @@ type Config struct {
 	// private registry, exposed via Metrics().
 	Metrics *metrics.Registry
 }
+
+const (
+	// anchorRadiusMeters is the calibration anchor radius for rewriting
+	// raw trajectories into symbolic ones.
+	anchorRadiusMeters = 100
+	// anchorSpacingMeters thins dense anchors: co-located landmarks (e.g.
+	// a POI cluster centre on an intersection) otherwise create
+	// degenerate zero-length segments.
+	anchorSpacingMeters = 50
+)
 
 // TrainStats reports what Train managed to use.
 type TrainStats struct {
@@ -298,18 +300,6 @@ func New(cfg Config) (*Summarizer, error) {
 	if cfg.Landmarks == nil || cfg.Landmarks.Len() < 2 {
 		return nil, errors.New("stmaker: Config.Landmarks must hold at least 2 landmarks")
 	}
-	if cfg.CalibrationRadiusMeters == 0 { //lint:allow floateq -- zero means unset in Config
-		cfg.CalibrationRadiusMeters = 100
-	}
-	switch {
-	case cfg.MinAnchorSpacingMeters == 0: //lint:allow floateq -- zero means unset in Config
-		cfg.MinAnchorSpacingMeters = 50
-	case cfg.MinAnchorSpacingMeters < 0:
-		cfg.MinAnchorSpacingMeters = 0
-	}
-	if cfg.Ca == 0 { //lint:allow floateq -- zero means unset in Config
-		cfg.Ca = partition.DefaultCa
-	}
 	if cfg.Threshold == 0 { //lint:allow floateq -- zero means unset in Config
 		cfg.Threshold = irregular.DefaultThreshold
 	}
@@ -341,8 +331,8 @@ func New(cfg Config) (*Summarizer, error) {
 		registry: reg,
 		ctx:      ctx,
 		calibrator: calibrate.New(cfg.Landmarks, calibrate.Options{
-			RadiusMeters:     cfg.CalibrationRadiusMeters,
-			MinSpacingMeters: cfg.MinAnchorSpacingMeters,
+			RadiusMeters:     anchorRadiusMeters,
+			MinSpacingMeters: anchorSpacingMeters,
 		}),
 		templates: summarize.DefaultTemplates(),
 		mx:        mx,
@@ -702,7 +692,7 @@ func (s *Summarizer) partitionTrajectory(scratch *pipeScratch, sym *traj.Symboli
 		// and i (unused at i = 0).
 		in.Significance[i] = s.cfg.Landmarks.Get(sym.Visits[i].Landmark).Significance
 	}
-	opts := partition.Options{Ca: s.cfg.Ca, Weights: scratch.weights(s.cfg.Weights, s.registry)}
+	opts := partition.Options{Ca: partition.DefaultCa, Weights: scratch.weights(s.cfg.Weights, s.registry)}
 	if k <= 0 {
 		return partition.Optimal(in, opts)
 	}

@@ -14,8 +14,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-
-	"stmaker/internal/traj"
 )
 
 // Popular mines popular routes from the training corpus, in the spirit of
@@ -40,22 +38,13 @@ type occRef struct {
 	seq, pos int
 }
 
-// BuildPopular accumulates transition statistics and the subroute index
-// from the corpus.
-func BuildPopular(corpus []*traj.Symbolic) *Popular {
-	seqs := make([][]int, 0, len(corpus))
-	for _, s := range corpus {
-		seqs = append(seqs, s.LandmarkIDs())
-	}
-	return BuildPopularFromSequences(seqs)
-}
-
-// BuildPopularFromSequences rebuilds the popular-route knowledge from the
-// corpus landmark sequences alone — the serialization-friendly core of
-// BuildPopular. Every derived structure (transition counts, adjacency,
-// the occurrence index) is a deterministic function of the sequences, so
-// a Popular round-trips through Sequences and back with identical routes.
-// The sequences are copied; the caller keeps ownership of seqs.
+// BuildPopularFromSequences builds the popular-route knowledge from the
+// corpus landmark sequences (traj.Symbolic.LandmarkIDs): transition
+// statistics and the subroute index. Every derived structure (transition
+// counts, adjacency, the occurrence index) is a deterministic function of
+// the sequences, so a Popular round-trips through Sequences and back with
+// identical routes. The sequences are copied; the caller keeps ownership
+// of seqs.
 func BuildPopularFromSequences(seqs [][]int) *Popular {
 	p := &Popular{
 		counts:    make(map[[2]int]int),

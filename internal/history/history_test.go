@@ -23,6 +23,16 @@ func sym(ids ...int) *traj.Symbolic {
 	return s
 }
 
+// buildPopular builds the popular-route knowledge of a symbolic corpus
+// from its landmark sequences, as training does.
+func buildPopular(corpus []*traj.Symbolic) *Popular {
+	seqs := make([][]int, 0, len(corpus))
+	for _, s := range corpus {
+		seqs = append(seqs, s.LandmarkIDs())
+	}
+	return BuildPopularFromSequences(seqs)
+}
+
 func TestPopularRoutePrefersFrequentPath(t *testing.T) {
 	// 0→1→3 travelled 8 times, 0→2→3 travelled 2 times.
 	var corpus []*traj.Symbolic
@@ -32,7 +42,7 @@ func TestPopularRoutePrefersFrequentPath(t *testing.T) {
 	for i := 0; i < 2; i++ {
 		corpus = append(corpus, sym(0, 2, 3))
 	}
-	p := BuildPopular(corpus)
+	p := buildPopular(corpus)
 	route, ok := p.Route(0, 3)
 	if !ok {
 		t.Fatal("route not found")
@@ -50,7 +60,7 @@ func TestPopularRouteMultiHop(t *testing.T) {
 	corpus := []*traj.Symbolic{
 		sym(0, 1), sym(1, 2), sym(2, 3),
 	}
-	p := BuildPopular(corpus)
+	p := buildPopular(corpus)
 	route, ok := p.Route(0, 3)
 	if !ok {
 		t.Fatal("multi-hop route not found")
@@ -61,7 +71,7 @@ func TestPopularRouteMultiHop(t *testing.T) {
 }
 
 func TestPopularRouteUnreachable(t *testing.T) {
-	p := BuildPopular([]*traj.Symbolic{sym(0, 1)})
+	p := buildPopular([]*traj.Symbolic{sym(0, 1)})
 	if _, ok := p.Route(1, 0); ok {
 		t.Fatal("reverse route should be unreachable")
 	}
@@ -71,7 +81,7 @@ func TestPopularRouteUnreachable(t *testing.T) {
 }
 
 func TestPopularRouteSameLandmark(t *testing.T) {
-	p := BuildPopular(nil)
+	p := buildPopular(nil)
 	route, ok := p.Route(4, 4)
 	if !ok || len(route) != 1 || route[0] != 4 {
 		t.Fatalf("self route = %v ok=%v", route, ok)
@@ -79,7 +89,7 @@ func TestPopularRouteSameLandmark(t *testing.T) {
 }
 
 func TestPopularIgnoresSelfLoops(t *testing.T) {
-	p := BuildPopular([]*traj.Symbolic{sym(0, 0, 1)})
+	p := buildPopular([]*traj.Symbolic{sym(0, 0, 1)})
 	if p.TransitionCount(0, 0) != 0 {
 		t.Fatal("self transition should be ignored")
 	}
@@ -97,7 +107,7 @@ func TestPopularityBeatsHopCount(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		corpus = append(corpus, sym(0, 1, 3))
 	}
-	p := BuildPopular(corpus)
+	p := buildPopular(corpus)
 	route, _ := p.Route(0, 3)
 	if len(route) != 3 || route[1] != 1 {
 		t.Fatalf("route = %v, want detour through 1", route)
@@ -344,7 +354,7 @@ func TestFlattened(t *testing.T) {
 }
 
 func TestRouteCaching(t *testing.T) {
-	p := BuildPopular([]*traj.Symbolic{sym(0, 1, 2), sym(0, 1, 2)})
+	p := buildPopular([]*traj.Symbolic{sym(0, 1, 2), sym(0, 1, 2)})
 	r1, ok1 := p.Route(0, 2)
 	r2, ok2 := p.Route(0, 2)
 	if !ok1 || !ok2 || len(r1) != len(r2) {
@@ -362,7 +372,7 @@ func TestRouteCaching(t *testing.T) {
 func TestFrequentSubroutePrefersShorterOnTies(t *testing.T) {
 	// One observation each of 0→1→3 and 0→3: tie on frequency, the
 	// shorter route wins.
-	p := BuildPopular([]*traj.Symbolic{sym(0, 1, 3), sym(5, 0, 3, 6)})
+	p := buildPopular([]*traj.Symbolic{sym(0, 1, 3), sym(5, 0, 3, 6)})
 	route, ok := p.Route(0, 3)
 	if !ok || len(route) != 2 {
 		t.Fatalf("route = %v, want the direct pair", route)
@@ -373,7 +383,7 @@ func TestFrequentSubroutePrefersShorterOnTies(t *testing.T) {
 // state of the popular-route knowledge: rebuilding from them answers
 // every route identically — the contract model persistence relies on.
 func TestPopularSequencesRoundTrip(t *testing.T) {
-	p := BuildPopular([]*traj.Symbolic{sym(0, 1, 2, 3), sym(0, 2, 3), sym(0, 2, 3), sym(4, 0)})
+	p := buildPopular([]*traj.Symbolic{sym(0, 1, 2, 3), sym(0, 2, 3), sym(0, 2, 3), sym(4, 0)})
 	seqs := p.Sequences()
 	q := BuildPopularFromSequences(seqs)
 	// Mutating the exported sequences must not touch either knowledge.

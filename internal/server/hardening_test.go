@@ -33,7 +33,7 @@ import (
 
 // panicExtractor is the injected pipeline fault: it panics while
 // extracting features for any trajectory whose ID is "boom", simulating
-// a library panic deep inside SummarizeSymbolic.
+// a library panic deep inside the summarize pipeline.
 type panicExtractor struct{}
 
 func (panicExtractor) Descriptor() feature.Descriptor {

@@ -2,7 +2,6 @@ package summarize
 
 import (
 	"sort"
-	"time"
 
 	"stmaker/internal/feature"
 	"stmaker/internal/history"
@@ -266,7 +265,7 @@ func (sel *Selector) attachByProducts(sf *SelectedFeature, s *traj.Symbolic, par
 		}
 	case feature.KeyGradeOfRoad:
 		if sel.Ctx != nil {
-			sf.RoadName = RoadNameForPart(sel.Ctx, s, part)
+			_, sf.RoadName, _ = RoadForPart(sel.Ctx, s, part)
 		}
 	}
 }
@@ -275,7 +274,7 @@ func (sel *Selector) attachByProducts(sf *SelectedFeature, s *traj.Symbolic, par
 // configured thresholds), or a default one.
 func stayDetector(reg *feature.Registry) feature.StayPoints {
 	if i := reg.IndexOf(feature.KeyStayPoints); i >= 0 {
-		if sp, ok := extractorAt(reg, i).(feature.StayPoints); ok {
+		if sp, ok := reg.ExtractorAt(i).(feature.StayPoints); ok {
 			return sp
 		}
 	}
@@ -285,18 +284,11 @@ func stayDetector(reg *feature.Registry) feature.StayPoints {
 // uturnDetector returns the registered UTurns extractor, or a default one.
 func uturnDetector(reg *feature.Registry) feature.UTurns {
 	if i := reg.IndexOf(feature.KeyUTurns); i >= 0 {
-		if ut, ok := extractorAt(reg, i).(feature.UTurns); ok {
+		if ut, ok := reg.ExtractorAt(i).(feature.UTurns); ok {
 			return ut
 		}
 	}
 	return feature.NewUTurns()
-}
-
-// extractorAt indirects through Descriptors order; the registry does not
-// expose extractors directly, so re-extraction uses defaults for the two
-// detail-producing features unless type assertion succeeds.
-func extractorAt(reg *feature.Registry, i int) feature.Extractor {
-	return reg.ExtractorAt(i)
 }
 
 // RoadForPart returns the partition's dominant road grade together with
@@ -347,48 +339,4 @@ func RoadForPart(ctx *feature.Context, s *traj.Symbolic, part partition.Part) (g
 		}
 	}
 	return grade, name, true
-}
-
-// RoadNameForPart returns only the name component of RoadForPart; it
-// remains for callers that already know the grade.
-func RoadNameForPart(ctx *feature.Context, s *traj.Symbolic, part partition.Part) string {
-	_, name, _ := RoadForPart(ctx, s, part)
-	return name
-}
-
-// DominantGrade returns the modal road grade of the partition from the
-// feature matrix, for the sentence templates' "through road type" slot.
-func DominantGrade(reg *feature.Registry, matrix []feature.Vector, part partition.Part) (roadnet.Grade, bool) {
-	j := reg.IndexOf(feature.KeyGradeOfRoad)
-	if j < 0 {
-		return 0, false
-	}
-	// Grade codes are 1–7 (roadnet.Grade.Valid), so the count fits a
-	// fixed array; this runs per partition on the render path.
-	var counts [8]int
-	for i := part.FirstSeg; i <= part.LastSeg && i < len(matrix); i++ {
-		if g := int(matrix[i][j]); g >= 1 && g <= 7 {
-			counts[g]++
-		}
-	}
-	best, bestN := 0, 0
-	for g, n := range counts {
-		// Ascending iteration: strict > keeps the smallest modal grade.
-		if n > bestN {
-			best, bestN = g, n
-		}
-	}
-	if bestN == 0 {
-		return 0, false
-	}
-	return roadnet.Grade(best), true
-}
-
-// TotalDuration sums the durations of the partition's segments.
-func TotalDuration(s *traj.Symbolic, part partition.Part) time.Duration {
-	var d time.Duration
-	for i := part.FirstSeg; i <= part.LastSeg; i++ {
-		d += s.Segment(i).Duration()
-	}
-	return d
 }

@@ -261,7 +261,11 @@ func TestRoutingSelectionAgainstPopularRoute(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		corpus = append(corpus, mk(0, 1, 2))
 	}
-	pop := history.BuildPopular(corpus)
+	seqs := make([][]int, 0, len(corpus))
+	for _, s := range corpus {
+		seqs = append(seqs, s.LandmarkIDs())
+	}
+	pop := history.BuildPopularFromSequences(seqs)
 	// Feature map: highway (grade 1) on the popular edges, village (6)
 	// on the trip's edges.
 	m := history.NewFeatureMap(1)
@@ -306,34 +310,6 @@ func TestAggregate(t *testing.T) {
 	// Mode ties break toward the smaller code for determinism.
 	if v, _ := aggregate([]float64{2, 1}, false); v != 1 {
 		t.Errorf("tie mode = %v", v)
-	}
-}
-
-func TestDominantGradeAndTotalDuration(t *testing.T) {
-	reg := feature.NewRegistry()
-	if err := reg.Register(feature.GradeOfRoad{}); err != nil {
-		t.Fatal(err)
-	}
-	matrix := []feature.Vector{{1}, {1}, {6}}
-	g, ok := DominantGrade(reg, matrix, partition.Part{FirstSeg: 0, LastSeg: 2})
-	if !ok || g != 1 {
-		t.Fatalf("grade = %v ok=%v", g, ok)
-	}
-	if _, ok := DominantGrade(reg, []feature.Vector{{0}}, partition.Part{FirstSeg: 0, LastSeg: 0}); ok {
-		t.Error("unmatched matrix should report no grade")
-	}
-	noGR := feature.NewRegistry()
-	if err := noGR.Register(feature.NewSpeed()); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := DominantGrade(noGR, matrix, partition.Part{FirstSeg: 0, LastSeg: 0}); ok {
-		t.Error("registry without GR should report no grade")
-	}
-
-	s := twoSegTrip(60, 60)
-	d := TotalDuration(s, partition.Part{FirstSeg: 0, LastSeg: 1})
-	if d != s.Visits[2].T.Sub(s.Visits[0].T) {
-		t.Errorf("duration = %v", d)
 	}
 }
 

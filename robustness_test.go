@@ -236,7 +236,7 @@ func TestErrorClassification(t *testing.T) {
 	}
 
 	// An uncalibrated symbolic trajectory is input-shaped as well.
-	_, err = strict.SummarizeSymbolic(&traj.Symbolic{ID: "empty"}, 0)
+	_, err = strict.summarizeSymbolic(context.Background(), &traj.Symbolic{ID: "empty"}, 0)
 	if !errors.Is(err, traj.ErrNotCalibrated) || !IsInputError(err) {
 		t.Errorf("empty symbolic: err = %v, want ErrNotCalibrated and input-classified", err)
 	}

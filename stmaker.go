@@ -60,8 +60,9 @@ const (
 	MetricStageSelect = "stage_select_seconds"
 	// MetricStageRender times template realization (§VI-A).
 	MetricStageRender = "stage_render_seconds"
-	// MetricSummarize times SummarizeSymbolic end to end (extract +
-	// partition + select + render; calibration is counted separately).
+	// MetricSummarize times the summary of a calibrated trajectory end to
+	// end (extract + partition + select + render; calibration is counted
+	// separately).
 	MetricSummarize = "summarize_seconds"
 	// MetricTrain times each Train call end to end (§V knowledge build).
 	MetricTrain = "train_seconds"
@@ -570,12 +571,6 @@ func (s *Summarizer) SummarizeKContext(ctx context.Context, r *traj.Raw, k int) 
 		return nil, fmt.Errorf("%w: %w", ErrInvalidInput, err)
 	}
 	return s.summarizeSymbolic(ctx, sym, k)
-}
-
-// SummarizeSymbolic runs partitioning, feature selection and template
-// realization on an already-calibrated trajectory.
-func (s *Summarizer) SummarizeSymbolic(sym *traj.Symbolic, k int) (*summarize.Summary, error) {
-	return s.summarizeSymbolic(context.Background(), sym, k)
 }
 
 // checkCtx is the between-stages cancellation checkpoint: expired or

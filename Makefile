@@ -44,17 +44,22 @@ bench-check:
 
 # One iteration of every benchmark: catches benchmarks that panic, fail
 # their setup, or silently rot, without the minutes a real run costs.
-# This includes the routing-engine pairs (BenchmarkShortestPathALT,
-# BenchmarkHMMMatch100PointsALT, BenchmarkTrainOverlay) so the ALT
-# overlay path is exercised on every CI build.
+# This includes the routing pairs (BenchmarkHMMMatch100PointsALT,
+# BenchmarkHMMMatchSparseALT, BenchmarkTrainOverlay) and the reference
+# decoder's BenchmarkHMMMatch100PointsNaive and
+# BenchmarkNetworkDistanceNaive, so the ALT overlay and the test oracle
+# are exercised on every CI build.
 # Run on every CI build; use `make bench` for real measurements.
 bench-smoke:
 	go test -run='^$$' -bench=. -benchtime=1x ./...
 
-# The Dijkstra-vs-ALT routing comparison that feeds BENCH_routing.json;
-# see docs/PERFORMANCE.md "Precomputed routing".
+# The routing benchmarks that feed BENCH_routing.json: HMM matching with
+# and without the ALT overlay (BenchmarkHMMMatch*), the overlay build
+# (BenchmarkTrainOverlay) and the simulator's point-to-point
+# Graph.ShortestPath (BenchmarkShortestPath20x20); see docs/PERFORMANCE.md
+# "Precomputed routing".
 bench-routing:
-	go test -run='^$$' -bench='ShortestPath|HMMMatch|TrainOverlay' -benchmem -count=5 ./internal/roadnet/
+	go test -run='^$$' -bench='HMMMatch|TrainOverlay|ShortestPath20x20' -benchmem -count=5 ./internal/roadnet/
 
 # Short randomized smoke of the fuzz targets (15s each): enough to
 # catch shallow regressions on every CI run without a dedicated fuzz

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"path/filepath"
 
 	"stmaker"
 	"stmaker/internal/landmark"
@@ -59,7 +58,7 @@ func main() {
 	fmt.Fprintf(os.Stderr, "trained on %d/%d trajectories (%d transitions)\n",
 		stats.Calibrated, len(train), stats.Transitions)
 	if *savePath != "" {
-		if err := saveModel(s, *savePath); err != nil {
+		if err := s.SaveModelFile(*savePath); err != nil {
 			fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "saved model to %s\n", *savePath)
@@ -102,29 +101,6 @@ func loadTrips(path string) ([]*traj.Raw, error) {
 	}
 	defer f.Close()
 	return worldio.LoadTrips(f)
-}
-
-// saveModel persists the trained model atomically (temp file in the
-// destination directory + rename), matching stmakerd's -save-model
-// semantics so a crash mid-write never leaves a truncated model file.
-func saveModel(s *stmaker.Summarizer, path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name())
-	if _, err := s.SaveModel(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }
 
 func fatal(err error) {

@@ -72,7 +72,6 @@ import (
 	"log/slog"
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -272,7 +271,7 @@ func singleRegion(logger *slog.Logger, worldPath, trainPath, modelPath, savePath
 			"transitions", stats.Transitions,
 		)
 		if savePath != "" {
-			if err := saveModel(s, savePath); err != nil {
+			if err := s.SaveModelFile(savePath); err != nil {
 				// The new model is already serving; a persistence failure
 				// only costs the next boot its warm start.
 				logger.Warn("model save failed, warm start unavailable", "path", savePath, "error", err)
@@ -345,30 +344,6 @@ func closeIngest(logger *slog.Logger, svc *ingest.Service) {
 	if err := svc.Close(); err != nil {
 		logger.Warn("ingest close failed", "error", err)
 	}
-}
-
-// saveModel persists the current model atomically: written to a temp
-// file in the destination directory, synced, then renamed over the
-// target, so a crash mid-write can never leave a truncated model file
-// for the next boot to trip on.
-func saveModel(s *stmaker.Summarizer, path string) error {
-	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return err
-	}
-	defer os.Remove(f.Name())
-	if _, err := s.SaveModel(f); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	return os.Rename(f.Name(), path)
 }
 
 func fatal(logger *slog.Logger, err error) {

@@ -7,6 +7,7 @@ import (
 	"io/fs"
 	"math"
 	"os"
+	"path/filepath"
 
 	"stmaker/internal/history"
 	"stmaker/internal/modelio"
@@ -247,6 +248,32 @@ func (s *Summarizer) SaveModel(w io.Writer) (int64, error) {
 		return 0, ErrNotTrained
 	}
 	return m.WriteTo(w)
+}
+
+// SaveModelFile persists the currently-published model to path
+// atomically: it writes a temp file in path's directory, syncs it and
+// renames it over path, so a crash mid-write never leaves a truncated
+// model file for the next LoadModelFile to trip on. Like SaveModel it
+// returns ErrNotTrained when no model has been published yet; on any
+// failure the temp file is removed and path is left as it was.
+func (s *Summarizer) SaveModelFile(path string) error {
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".tmp-*")
+	if err != nil {
+		return err
+	}
+	defer os.Remove(f.Name())
+	if _, err := s.SaveModel(f); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	return os.Rename(f.Name(), path)
 }
 
 // LoadModel verifies that m was built under this Summarizer's

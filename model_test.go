@@ -383,6 +383,13 @@ func TestSaveModelRequiresModel(t *testing.T) {
 	if _, err := s.SaveModel(&buf); !errors.Is(err, ErrNotTrained) {
 		t.Errorf("SaveModel untrained err = %v, want ErrNotTrained", err)
 	}
+	dir := t.TempDir()
+	if err := s.SaveModelFile(filepath.Join(dir, "model.stm")); !errors.Is(err, ErrNotTrained) {
+		t.Errorf("SaveModelFile untrained err = %v, want ErrNotTrained", err)
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 0 {
+		t.Errorf("failed SaveModelFile left %d files behind (err %v)", len(entries), err)
+	}
 }
 
 // TestLoadModelFileClassification pins the error taxonomy of the
@@ -398,8 +405,14 @@ func TestLoadModelFileClassification(t *testing.T) {
 	if _, err := s.SaveModel(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(okPath, buf.Bytes(), 0o644); err != nil {
+	if err := s.SaveModelFile(okPath); err != nil {
 		t.Fatal(err)
+	}
+	if saved, err := os.ReadFile(okPath); err != nil || !bytes.Equal(saved, buf.Bytes()) {
+		t.Fatalf("SaveModelFile wrote %d bytes (err %v), want SaveModel's %d", len(saved), err, buf.Len())
+	}
+	if entries, err := os.ReadDir(dir); err != nil || len(entries) != 1 {
+		t.Fatalf("SaveModelFile left %d files in the directory (err %v), want only the model", len(entries), err)
 	}
 	corruptPath := filepath.Join(dir, "corrupt.stm")
 	if err := os.WriteFile(corruptPath, []byte("not a model file"), 0o644); err != nil {

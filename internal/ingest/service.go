@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"os"
 	"path/filepath"
 	"sync"
 	"time"
@@ -19,14 +20,10 @@ type ServiceOptions struct {
 	// CompactInterval is how often Run compacts every region's knowledge
 	// into a published model (default 1 minute).
 	CompactInterval time.Duration
-	// BufferFixes, TripFixLimit and SegmentBytes are passed to every
-	// region's IngesterOptions.
+	// BufferFixes and TripFixLimit are passed to every region's
+	// IngesterOptions.
 	BufferFixes  int
 	TripFixLimit int
-	SegmentBytes int64
-	// FS overrides the filesystem (fault injection); nil means the real
-	// one.
-	FS FS
 	// Logger defaults to slog.Default().
 	Logger *slog.Logger
 }
@@ -57,9 +54,6 @@ func NewService(reg *registry.Registry, opts ServiceOptions) (*Service, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("ingest: ServiceOptions.Dir is required")
 	}
-	if opts.FS == nil {
-		opts.FS = osFS{}
-	}
 	if opts.Logger == nil {
 		opts.Logger = slog.Default()
 	}
@@ -71,10 +65,10 @@ func NewService(reg *registry.Registry, opts ServiceOptions) (*Service, error) {
 		opts:      opts,
 		ingesters: make(map[string]*Ingester),
 	}
-	if err := opts.FS.MkdirAll(opts.Dir, 0o755); err != nil {
+	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("ingest: create ingest root: %w", err)
 	}
-	entries, err := opts.FS.ReadDir(opts.Dir)
+	entries, err := os.ReadDir(opts.Dir)
 	if err != nil {
 		return nil, fmt.Errorf("ingest: list ingest root: %w", err)
 	}
@@ -116,8 +110,6 @@ func (s *Service) Ingester(name string) (*Ingester, error) {
 	ing, err := NewIngester(filepath.Join(s.opts.Dir, name), resolve, IngesterOptions{
 		BufferFixes:  s.opts.BufferFixes,
 		TripFixLimit: s.opts.TripFixLimit,
-		SegmentBytes: s.opts.SegmentBytes,
-		FS:           s.opts.FS,
 		Logger:       s.opts.Logger,
 		Metrics:      s.reg.RegionMetrics(name),
 	})

@@ -93,8 +93,8 @@ func TestRegisterValidation(t *testing.T) {
 	if err := r.Register(NewSpeedChange()); err != nil {
 		t.Fatalf("SpeC registration failed: %v", err)
 	}
-	if r.Len() != 7 {
-		t.Fatalf("Len after extension = %d", r.Len())
+	if r.Len() != 7 || r.IndexOf(KeySpeedChange) != 6 {
+		t.Fatalf("after extension Len = %d and SpeC index = %d, want 7 and 6", r.Len(), r.IndexOf(KeySpeedChange))
 	}
 }
 
@@ -261,6 +261,24 @@ func TestNoUTurnOnStraightDrive(t *testing.T) {
 	}
 }
 
+func TestNoUTurnOnLShape(t *testing.T) {
+	// East 500 m, then north 500 m: a 90° corner is not a U-turn.
+	r := &traj.Raw{ID: "L"}
+	ts := start
+	for d := 0.0; d <= 500; d += 50 {
+		r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(base, 90, d), T: ts})
+		ts = ts.Add(5 * time.Second)
+	}
+	corner := geo.Destination(base, 90, 500)
+	for d := 50.0; d <= 500; d += 50 {
+		r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(corner, 0, d), T: ts})
+		ts = ts.Add(5 * time.Second)
+	}
+	if got := NewUTurns().Extract(wholeSegment(r), nil); got != 0 {
+		t.Fatalf("L-shape U-turns = %v", got)
+	}
+}
+
 func TestSpeedChange(t *testing.T) {
 	// 60 km/h then an abrupt drop to 10 km/h: one sharp change.
 	r := &traj.Raw{ID: "sc"}
@@ -345,40 +363,5 @@ func TestWeightsVector(t *testing.T) {
 func TestClassString(t *testing.T) {
 	if Routing.String() != "routing" || Moving.String() != "moving" {
 		t.Fatal("class strings wrong")
-	}
-}
-
-func TestTurnsExtraction(t *testing.T) {
-	// An L-shaped route: east 500m then north 500m — exactly one 90° turn,
-	// zero U-turns.
-	r := &traj.Raw{ID: "L"}
-	ts := start
-	for d := 0.0; d <= 500; d += 50 {
-		r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(base, 90, d), T: ts})
-		ts = ts.Add(5 * time.Second)
-	}
-	corner := geo.Destination(base, 90, 500)
-	for d := 50.0; d <= 500; d += 50 {
-		r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(corner, 0, d), T: ts})
-		ts = ts.Add(5 * time.Second)
-	}
-	seg := wholeSegment(r)
-	if got := NewTurns().Extract(seg, nil); got != 1 {
-		t.Fatalf("turns = %v, want 1", got)
-	}
-	if got := NewUTurns().Extract(seg, nil); got != 0 {
-		t.Fatalf("L-shape should have no U-turn, got %v", got)
-	}
-	// A straight drive has no turns.
-	if got := NewTurns().Extract(wholeSegment(drive(60, 0, 1000)), nil); got != 0 {
-		t.Fatalf("straight turns = %v", got)
-	}
-	// Registration through the §VI-B mechanism.
-	reg := NewDefaultRegistry()
-	if err := reg.Register(NewTurns()); err != nil {
-		t.Fatal(err)
-	}
-	if reg.IndexOf(KeyTurns) != 6 {
-		t.Fatalf("Turns index = %d", reg.IndexOf(KeyTurns))
 	}
 }

@@ -221,63 +221,3 @@ func (sc SpeedChange) Extract(seg traj.Segment, _ *Context) float64 {
 	}
 	return count
 }
-
-// Turns counts ordinary turns — heading changes sharp enough to be a
-// corner but short of a U-turn reversal. It is not one of the paper's six
-// default features; it ships as a ready-made §VI-B extension (register it
-// with Registry.Register) and exercises the same leg-based heading
-// machinery as UTurns.
-type Turns struct {
-	// MinHeadingChangeDeg and MaxHeadingChangeDeg bound what counts as a
-	// turn (defaults 60 and 150; at 150 and above UTurns takes over).
-	MinHeadingChangeDeg float64
-	MaxHeadingChangeDeg float64
-	// MinLegMeters is the minimum movement before and after the turn
-	// (default 20).
-	MinLegMeters float64
-}
-
-// NewTurns returns a Turns extractor with the default thresholds.
-func NewTurns() Turns {
-	return Turns{MinHeadingChangeDeg: 60, MaxHeadingChangeDeg: 150, MinLegMeters: 20}
-}
-
-// KeyTurns is the Turns extension feature key.
-const KeyTurns = "Turn"
-
-// Descriptor implements Extractor.
-func (Turns) Descriptor() Descriptor {
-	return Descriptor{Key: KeyTurns, Name: "turns", Class: Moving, Numeric: true}
-}
-
-// Extract implements Extractor: the number of turns of the segment.
-func (tn Turns) Extract(seg traj.Segment, _ *Context) float64 {
-	minTurn := tn.MinHeadingChangeDeg
-	if minTurn <= 0 {
-		minTurn = 60
-	}
-	maxTurn := tn.MaxHeadingChangeDeg
-	if maxTurn <= 0 {
-		maxTurn = 150
-	}
-	minLeg := tn.MinLegMeters
-	if minLeg <= 0 {
-		minLeg = 20
-	}
-	samples := seg.RawSamples()
-	var headings []float64
-	last := 0
-	for i := 1; i < len(samples); i++ {
-		if geo.Distance(samples[last].Pt, samples[i].Pt) >= minLeg {
-			headings = append(headings, geo.Bearing(samples[last].Pt, samples[i].Pt))
-			last = i
-		}
-	}
-	var count float64
-	for i := 1; i < len(headings); i++ {
-		if d := geo.AngleDiff(headings[i-1], headings[i]); d >= minTurn && d < maxTurn {
-			count++
-		}
-	}
-	return count
-}

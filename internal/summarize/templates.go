@@ -34,7 +34,6 @@ func DefaultTemplates() *TemplateSet {
 	ts.clauses[feature.KeyStayPoints] = renderStays
 	ts.clauses[feature.KeyUTurns] = renderUTurns
 	ts.clauses[feature.KeySpeedChange] = renderSpeedChanges
-	ts.clauses[feature.KeyTurns] = renderTurns
 	return ts
 }
 
@@ -313,15 +312,6 @@ func renderUTurns(sf SelectedFeature) string {
 		clause += " at " + joinAnd(places)
 	}
 	return clause
-}
-
-// renderTurns realizes the Turn extension feature.
-func renderTurns(sf SelectedFeature) string {
-	n := int(math.Round(sf.Value))
-	if n <= 0 {
-		return ""
-	}
-	return fmt.Sprintf("with %s %s", numberWord(n), plural(n, "turn", "turns"))
 }
 
 // renderSpeedChanges realizes the SpeC extension feature.

@@ -310,15 +310,3 @@ func TestRenderStaysWithPlaces(t *testing.T) {
 		t.Errorf("three places should be suppressed: %q", got)
 	}
 }
-
-func TestRenderTurns(t *testing.T) {
-	if got := renderTurns(SelectedFeature{Key: feature.KeyTurns, Value: 4}); got != "with four turns" {
-		t.Errorf("turns clause = %q", got)
-	}
-	if got := renderTurns(SelectedFeature{Key: feature.KeyTurns}); got != "" {
-		t.Errorf("zero turns = %q", got)
-	}
-	if !DefaultTemplates().HasClause(feature.KeyTurns) {
-		t.Error("Turn clause not installed by default")
-	}
-}

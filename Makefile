@@ -70,5 +70,6 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzParseManifest -fuzztime=15s ./internal/modelio
 	go test -run='^$$' -fuzz=FuzzWALReplay -fuzztime=15s ./internal/ingest
 	go test -run='^$$' -fuzz=FuzzIngestNDJSON -fuzztime=15s ./internal/server
+	go test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=15s ./internal/server
 	go test -run='^$$' -fuzz=FuzzALTEquivalence -fuzztime=15s ./internal/roadnet
 	go test -run='^$$' -fuzz=FuzzWithinEquivalence -fuzztime=15s ./internal/spatial

@@ -3,8 +3,6 @@ package server
 import (
 	"bytes"
 	"context"
-	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
 	"runtime"
@@ -83,18 +81,10 @@ func (srv *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if srv.opts.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, srv.opts.MaxBodyBytes*batchBodyFactor)
-	}
 	var req BatchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			srv.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		srv.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !srv.decodeBody(w, r, srv.opts.MaxBodyBytes*batchBodyFactor, func(body []byte) error {
+		return decodeBatchRequest(body, &req)
+	}) {
 		return
 	}
 	if len(req.Items) == 0 {

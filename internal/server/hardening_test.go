@@ -152,6 +152,32 @@ func TestOversizedBodyRejected413(t *testing.T) {
 	if err := json.NewDecoder(rec.Body).Decode(&resp); err != nil || resp.Error == "" {
 		t.Errorf("413 body not a JSON error response: %v / %+v", err, resp)
 	}
+
+	// The cap counts the whole body, not only its first JSON value: a
+	// valid request padded past the cap with trailing whitespace is 413
+	// on both endpoints (64 KiB single cap, so a 1 MiB batch cap).
+	srv, trip := hardenedServer(t, nil, nil, Options{MaxBodyBytes: 64 << 10})
+	single := summarizeBody(t, trip).Bytes()
+	batch, err := json.Marshal(BatchRequest{Items: []SummarizeRequest{{Trajectory: trip}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		path string
+		body []byte
+		pad  int
+	}{
+		{"/summarize", single, 1 << 20},
+		{"/summarize/batch", batch, 2 << 20},
+	} {
+		if rec := do(srv, http.MethodPost, c.path, bytes.NewReader(c.body)); rec.Code != http.StatusOK {
+			t.Fatalf("%s unpadded: status = %d, want 200 (%s)", c.path, rec.Code, rec.Body.String())
+		}
+		padded := io.MultiReader(bytes.NewReader(c.body), strings.NewReader(strings.Repeat(" ", c.pad)))
+		if rec := do(srv, http.MethodPost, c.path, padded); rec.Code != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s padded past the cap: status = %d, want 413", c.path, rec.Code)
+		}
+	}
 }
 
 func TestMaxInFlightShedsWith503(t *testing.T) {

@@ -368,18 +368,10 @@ func (srv *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST required", http.StatusMethodNotAllowed)
 		return
 	}
-	if srv.opts.MaxBodyBytes > 0 {
-		r.Body = http.MaxBytesReader(w, r.Body, srv.opts.MaxBodyBytes)
-	}
 	var req SummarizeRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var tooBig *http.MaxBytesError
-		if errors.As(err, &tooBig) {
-			srv.writeError(w, http.StatusRequestEntityTooLarge,
-				fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
-			return
-		}
-		srv.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	if !srv.decodeBody(w, r, srv.opts.MaxBodyBytes, func(body []byte) error {
+		return DecodeSummarizeRequest(body, &req)
+	}) {
 		return
 	}
 	if qk := r.URL.Query().Get("k"); qk != "" {
@@ -396,6 +388,39 @@ func (srv *Server) handleSummarize(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	srv.writeJSON(w, resp)
+}
+
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+// decodeBody reads the whole body of r, capped at limit bytes when limit
+// is positive, into a pooled buffer and hands it to decode. The cap
+// counts every byte, not only the first JSON value's. On failure it
+// writes the 413 or 400 and returns false. The buffer is recycled once
+// decode returns, so decode must copy what it keeps.
+func (srv *Server) decodeBody(w http.ResponseWriter, r *http.Request, limit int64, decode func(body []byte) error) bool {
+	if limit > 0 {
+		r.Body = http.MaxBytesReader(w, r.Body, limit)
+	}
+	buf := bodyPool.Get().(*bytes.Buffer)
+	buf.Reset()
+	_, err := buf.ReadFrom(r.Body)
+	if err == nil {
+		err = decode(buf.Bytes())
+	}
+	if buf.Cap() <= maxPooledBytes {
+		bodyPool.Put(buf)
+	}
+	var tooBig *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooBig):
+		srv.writeError(w, http.StatusRequestEntityTooLarge,
+			fmt.Sprintf("request body exceeds %d bytes", tooBig.Limit))
+	default:
+		srv.writeError(w, http.StatusBadRequest, fmt.Sprintf("bad request body: %v", err))
+	}
+	return false
 }
 
 // summarizeOne resolves the region and runs the pipeline for one

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"runtime"
 	"testing"
@@ -244,7 +245,7 @@ func TestGoldenMatching(t *testing.T) {
 	got := matchingFile{InputsSHA256: goldenInputsDigest(t, city, trips[0], trips[1])}
 	for i, iv := range goldenMatchIntervals {
 		for _, r := range trips[i] {
-			got.Cases = append(got.Cases, goldenMatch(s, hmm, r, int(iv/time.Second)))
+			got.Cases = append(got.Cases, goldenMatch(t, s, hmm, r, int(iv/time.Second)))
 		}
 	}
 
@@ -287,17 +288,20 @@ func TestGoldenMatching(t *testing.T) {
 	}
 }
 
-func goldenMatch(s *Summarizer, hmm *roadnet.HMMMatcher, r *traj.Raw, intervalS int) matchingCase {
+func goldenMatch(t *testing.T, s *Summarizer, hmm *roadnet.HMMMatcher, r *traj.Raw, intervalS int) matchingCase {
 	c := matchingCase{Trip: r.ID, IntervalS: intervalS}
 	pts := make([]geo.Point, len(r.Samples))
+	nearest := make([]roadnet.Match, len(r.Samples))
+	found := make([]bool, len(r.Samples))
 	for i, smp := range r.Samples {
 		pts[i] = smp.Pt
 		id := -1
-		if m, ok := s.ctx.Matcher.NearestEdge(smp.Pt, 150); ok {
-			id = int(m.Edge.ID)
+		if nearest[i], found[i] = s.ctx.Matcher.NearestEdge(smp.Pt, 150, nil); found[i] {
+			id = int(nearest[i].Edge.ID)
 		}
 		c.Nearest = append(c.Nearest, id)
 	}
+	checkHintedMatches(t, s.ctx.Matcher, r.ID, pts, nearest, found)
 	for _, m := range hmm.MatchPoints(pts) {
 		id := -1
 		if m.Edge != nil {
@@ -314,6 +318,41 @@ func goldenMatch(s *Summarizer, hmm *roadnet.HMMMatcher, r *traj.Raw, intervalS 
 		c.Visits = append(c.Visits, goldenVisit{Landmark: v.Landmark, RawIndex: v.RawIndex, TUnixNs: v.T.UnixNano()})
 	}
 	return c
+}
+
+// checkHintedMatches matches pts again, hinting each sample with the
+// edge its predecessor matched, once in sample order and once in
+// reverse. It fails unless every result equals the unhinted one (want,
+// wantOK) bit for bit: the hint may narrow the search, never move a
+// match.
+func checkHintedMatches(t *testing.T, m *roadnet.Matcher, trip string, pts []geo.Point, want []roadnet.Match, wantOK []bool) {
+	t.Helper()
+	for _, reverse := range []bool{false, true} {
+		var prev *roadnet.Edge
+		for j := range pts {
+			i := j
+			if reverse {
+				i = len(pts) - 1 - j
+			}
+			got, ok := m.NearestEdge(pts[i], 150, prev)
+			if ok != wantOK[i] || got.Edge != want[i].Edge ||
+				math.Float64bits(got.Distance) != math.Float64bits(want[i].Distance) ||
+				math.Float64bits(got.Along) != math.Float64bits(want[i].Along) {
+				t.Errorf("%s sample %d (reverse %v): hinted match %s, unhinted %s",
+					trip, i, reverse, matchString(got, ok), matchString(want[i], wantOK[i]))
+			}
+			if ok {
+				prev = got.Edge
+			}
+		}
+	}
+}
+
+func matchString(m roadnet.Match, ok bool) string {
+	if !ok {
+		return "none"
+	}
+	return fmt.Sprintf("edge %d at %v m, %v m along", m.Edge.ID, m.Distance, m.Along)
 }
 
 // matchingDiff names the first field and sample where two cases differ.

@@ -49,8 +49,14 @@ func MatcherAccuracy(w *World, n int, noiseMeters float64) (*MatcherAccuracyResu
 			pts[i] = geo.Destination(s.Pt, rng.Float64()*360, rng.Float64()*noiseMeters)
 		}
 		totalSamples += len(pts)
+		var prev *roadnet.Edge
 		for _, p := range pts {
-			if m, ok := greedy.NearestEdge(p, 150); ok && truth[m.Edge.ID] {
+			m, ok := greedy.NearestEdge(p, 150, prev)
+			if !ok {
+				continue
+			}
+			prev = m.Edge
+			if truth[m.Edge.ID] {
 				greedyHits++
 			}
 		}

@@ -126,6 +126,15 @@ func (ctx *Context) SegmentEdges(seg traj.Segment) []*roadnet.Edge {
 		ctx.mu.Unlock()
 		return edges
 	}
+	// Segments share their boundary sample, so the previous segment's
+	// last edge is the likely match of this one's first sample: greedy
+	// matching starts from it.
+	var prev *roadnet.Edge
+	if i := seg.Index - 1; i >= 0 && i < len(row) {
+		if e := row[i].edges; len(e) > 0 {
+			prev = e[len(e)-1]
+		}
+	}
 	ctx.mu.Unlock()
 	samples := seg.RawSamples()
 	// At most one edge per sample: one allocation, not one per doubling.
@@ -142,8 +151,9 @@ func (ctx *Context) SegmentEdges(seg traj.Segment) []*roadnet.Edge {
 		}
 	} else {
 		for _, s := range samples {
-			if m, ok := ctx.Matcher.NearestEdge(s.Pt, matchRadiusMeters); ok {
+			if m, ok := ctx.Matcher.NearestEdge(s.Pt, matchRadiusMeters, prev); ok {
 				edges = append(edges, m.Edge)
+				prev = m.Edge
 			}
 		}
 	}

@@ -116,9 +116,6 @@ func TestRoutingExtraction(t *testing.T) {
 	if got := (TrafficDirection{}).Extract(seg, ctx); got != float64(roadnet.TwoWay) {
 		t.Errorf("direction = %v, want two-way", got)
 	}
-	if got := DominantRoadName(seg, ctx); got != "G6" {
-		t.Errorf("road name = %q, want G6", got)
-	}
 
 	// Drive only on the village road.
 	seg2 := wholeSegment(drive(30, 2100, 2900))
@@ -127,9 +124,6 @@ func TestRoutingExtraction(t *testing.T) {
 	}
 	if got := (TrafficDirection{}).Extract(seg2, ctx); got != float64(roadnet.OneWay) {
 		t.Errorf("direction = %v, want one-way", got)
-	}
-	if got := DominantRoadName(seg2, ctx); got != "Hutong" {
-		t.Errorf("road name = %q", got)
 	}
 }
 
@@ -150,9 +144,6 @@ func TestRoutingUnmatched(t *testing.T) {
 	}
 	if got := (TrafficDirection{}).Extract(seg, ctx); got != 0 {
 		t.Errorf("unmatched direction = %v", got)
-	}
-	if got := DominantRoadName(seg, ctx); got != "" {
-		t.Errorf("unmatched name = %q", got)
 	}
 }
 

@@ -92,23 +92,3 @@ func (TrafficDirection) Extract(seg traj.Segment, ctx *Context) float64 {
 	}
 	return float64(roadnet.TwoWay)
 }
-
-// DominantRoadName returns the most frequently matched road name of the
-// segment, used by templates ("through highway (G6)"). Empty when the
-// segment is unmatched or the roads are unnamed.
-func DominantRoadName(seg traj.Segment, ctx *Context) string {
-	edges := ctx.SegmentEdges(seg)
-	counts := make(map[string]int)
-	for _, e := range edges {
-		if e.Name != "" {
-			counts[e.Name]++
-		}
-	}
-	best, bestN := "", 0
-	for name, n := range counts {
-		if n > bestN || (n == bestN && name < best) {
-			best, bestN = name, n
-		}
-	}
-	return best
-}

@@ -14,21 +14,28 @@ func skipUnderRace(t *testing.T) {
 
 // TestNearestEdgeAllocs guards the greedy matching path: a warm
 // NearestEdge queries the index through pooled scratch and allocates
-// nothing.
+// nothing, with and without the previous sample's edge as the hint.
 func TestNearestEdgeAllocs(t *testing.T) {
 	skipUnderRace(t)
 	m := NewMatcher(benchGrid(10, 400))
 	pts := benchTrajectory(100)
-	match := func() {
-		for _, p := range pts {
-			if _, ok := m.NearestEdge(p, 150); !ok {
-				t.Fatalf("no edge near %v", p)
+	for _, chained := range []bool{false, true} {
+		match := func() {
+			var prev *Edge
+			for _, p := range pts {
+				got, ok := m.NearestEdge(p, 150, prev)
+				if !ok {
+					t.Fatalf("no edge near %v", p)
+				}
+				if chained {
+					prev = got.Edge
+				}
 			}
 		}
-	}
-	match() // warm the pool
-	if allocs := testing.AllocsPerRun(20, match); allocs != 0 {
-		t.Fatalf("NearestEdge allocates %v times per %d samples, want 0", allocs, len(pts))
+		match() // warm the pool
+		if allocs := testing.AllocsPerRun(20, match); allocs != 0 {
+			t.Fatalf("NearestEdge (chained %v) allocates %v times per %d samples, want 0", chained, allocs, len(pts))
+		}
 	}
 }
 

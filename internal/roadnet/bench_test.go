@@ -69,7 +69,32 @@ func BenchmarkNearestEdge(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.NearestEdge(pts[i%len(pts)], 150)
+		m.NearestEdge(pts[i%len(pts)], 150, nil)
+	}
+}
+
+// BenchmarkNearestEdgeTrack matches a 100-point trajectory sample by
+// sample, as greedy feature extraction does: chained, each query starts
+// from the edge the previous sample matched; unhinted, every query
+// searches the full radius.
+func BenchmarkNearestEdgeTrack(b *testing.B) {
+	m := NewMatcher(benchGrid(10, 400))
+	pts := benchTrajectory(100)
+	for _, bc := range []struct {
+		name    string
+		chained bool
+	}{{"chained", true}, {"unhinted", false}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				var prev *Edge
+				for _, p := range pts {
+					if got, ok := m.NearestEdge(p, 150, prev); ok && bc.chained {
+						prev = got.Edge
+					}
+				}
+			}
+		})
 	}
 }
 

@@ -48,6 +48,11 @@ func (g *Graph) Nodes() []Node { return g.nodes }
 // mutate it.
 func (g *Graph) Edge(id EdgeID) *Edge { return &g.edges[id] }
 
+// owns reports whether e is one of the graph's own edges.
+func (g *Graph) owns(e *Edge) bool {
+	return int(e.ID) >= 0 && int(e.ID) < len(g.edges) && &g.edges[e.ID] == e
+}
+
 // Edges returns the edge slice. Callers must not mutate it.
 func (g *Graph) Edges() []Edge { return g.edges }
 

@@ -69,7 +69,7 @@ func TestHMMStaysOnOneRoad(t *testing.T) {
 	m := NewMatcher(g)
 	greedySouth := 0
 	for _, p := range pts {
-		if match, ok := m.NearestEdge(p, 150); ok && match.Edge.ID == south {
+		if match, ok := m.NearestEdge(p, 150, nil); ok && match.Edge.ID == south {
 			greedySouth++
 		}
 	}

@@ -76,28 +76,72 @@ func (m Match) Point() geo.Point { return m.Edge.Geometry.PointAt(m.Along) }
 
 // NearestEdge returns the edge closest to p within maxDist metres. The
 // boolean is false when no edge qualifies.
-func (m *Matcher) NearestEdge(p geo.Point, maxDist float64) (Match, bool) {
+//
+// prev is a hint, nil for none: the edge the previous fix of the same
+// trace matched. It changes how far the index is searched, never the
+// result. When prev lies d ≤ maxDist from p, every edge within d of p
+// has an index sample within d + matchSampleSpacing, so a query of that
+// radius finds the nearest edge; only when another edge ties it exactly
+// does NearestEdge search the full radius, because the winner of a tie
+// is the edge met first, and the hit order among equal distances is the
+// sort's, which differs between a narrow query and a full one. A hint
+// that is not an edge of the matcher's graph is ignored.
+func (m *Matcher) NearestEdge(p geo.Point, maxDist float64, prev *Edge) (Match, bool) {
 	sc := matchScratchPool.Get().(*matchScratch)
 	defer matchScratchPool.Put(sc)
+	if prev != nil && m.g.owns(prev) {
+		c := nearest{e: prev}
+		c.d, c.seg, c.t = prev.Geometry.NearestPoint(p)
+		if c.d <= maxDist {
+			m.query(sc, p, c.d+matchSampleSpacing)
+			sc.seen = append(sc.seen, int(prev.ID))
+			m.scan(sc, p, &c)
+			if !c.tied {
+				return c.match(), true
+			}
+		}
+	}
 	m.query(sc, p, maxDist+matchSampleSpacing)
-	// Samples come nearest first and only a strictly nearer edge
-	// replaces the best, so of two edges at exactly the same distance the
-	// one whose sample is met first wins.
-	best := Match{Distance: math.Inf(1)}
+	c := nearest{d: math.Inf(1)}
+	m.scan(sc, p, &c)
+	if c.e == nil || c.d > maxDist {
+		return Match{}, false
+	}
+	return c.match(), true
+}
+
+// nearest is the nearest edge a scan has met: its distance from the fix,
+// the projection NearestPoint found, and whether another edge lies at
+// exactly that distance.
+type nearest struct {
+	e    *Edge
+	d    float64
+	seg  int
+	t    float64
+	tied bool
+}
+
+// scan measures every edge of sc.hits not yet seen against p and keeps
+// the nearest in c. Samples come nearest first and only a strictly
+// nearer edge replaces c, so of two edges at exactly the same distance
+// the one whose sample is met first wins.
+func (m *Matcher) scan(sc *matchScratch, p geo.Point, c *nearest) {
 	for _, h := range sc.hits {
 		if !sc.firstSeen(h.ID) {
 			continue
 		}
 		e := m.g.Edge(EdgeID(h.ID))
-		d, seg, t := e.Geometry.NearestPoint(p)
-		if d < best.Distance {
-			best = Match{Edge: e, Distance: d, Along: e.Geometry.DistanceAlong(seg, t)}
+		switch d, seg, t := e.Geometry.NearestPoint(p); {
+		case d < c.d:
+			*c = nearest{e: e, d: d, seg: seg, t: t}
+		case d == c.d: //lint:allow floateq -- an exact tie is what the hint must not decide
+			c.tied = true
 		}
 	}
-	if best.Edge == nil || best.Distance > maxDist {
-		return Match{}, false
-	}
-	return best, true
+}
+
+func (c nearest) match() Match {
+	return Match{Edge: c.e, Distance: c.d, Along: c.e.Geometry.DistanceAlong(c.seg, c.t)}
 }
 
 // NearestNode returns the graph node closest to p, or false when the graph

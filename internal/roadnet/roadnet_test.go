@@ -214,7 +214,7 @@ func TestMatcher(t *testing.T) {
 	// A point 30m north of the midpoint of the bottom edge 0-1.
 	mid := geo.Midpoint(g.Node(0).Pt, g.Node(1).Pt)
 	q := geo.Destination(mid, 0, 30)
-	match, ok := m.NearestEdge(q, 100)
+	match, ok := m.NearestEdge(q, 100, nil)
 	if !ok {
 		t.Fatal("no match found")
 	}
@@ -230,7 +230,7 @@ func TestMatcher(t *testing.T) {
 
 	// Far away: no match.
 	far := geo.Destination(testOrigin, 180, 5000)
-	if _, ok := m.NearestEdge(far, 100); ok {
+	if _, ok := m.NearestEdge(far, 100, nil); ok {
 		t.Fatal("unexpected match far from network")
 	}
 }

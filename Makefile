@@ -73,4 +73,5 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzDecodeRequest -fuzztime=15s ./internal/server
 	go test -run='^$$' -fuzz=FuzzALTEquivalence -fuzztime=15s ./internal/roadnet
 	go test -run='^$$' -fuzz=FuzzNearestEdgeHint -fuzztime=15s ./internal/roadnet
+	go test -run='^$$' -fuzz=FuzzHMMCandidates -fuzztime=15s ./internal/roadnet
 	go test -run='^$$' -fuzz=FuzzWithinEquivalence -fuzztime=15s ./internal/spatial

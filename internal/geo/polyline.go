@@ -107,20 +107,3 @@ func (pl Polyline) Resample(spacing float64) Polyline {
 	out = append(out, pl[len(pl)-1])
 	return out
 }
-
-// Concat joins polylines end to end, dropping a duplicated join point when
-// one polyline ends where the next begins.
-func Concat(lines ...Polyline) Polyline {
-	var out Polyline
-	for _, ln := range lines {
-		if len(ln) == 0 {
-			continue
-		}
-		if len(out) > 0 && out[len(out)-1] == ln[0] {
-			out = append(out, ln[1:]...)
-		} else {
-			out = append(out, ln...)
-		}
-	}
-	return out
-}

@@ -113,26 +113,6 @@ func TestPolylineResampleEdgeCases(t *testing.T) {
 	}
 }
 
-func TestConcat(t *testing.T) {
-	a := eastLine(100)
-	b := Polyline{a[len(a)-1], Destination(a[len(a)-1], 90, 100)}
-	joined := Concat(a, b)
-	if len(joined) != 3 {
-		t.Fatalf("Concat shared endpoint: len = %d, want 3", len(joined))
-	}
-	c := Polyline{{Lat: 50, Lng: 50}}
-	joined2 := Concat(a, c)
-	if len(joined2) != 3 {
-		t.Fatalf("Concat disjoint: len = %d, want 3", len(joined2))
-	}
-	if got := Concat(); len(got) != 0 {
-		t.Fatalf("Concat() = %v", got)
-	}
-	if got := Concat(Polyline{}, a, Polyline{}); len(got) != len(a) {
-		t.Fatalf("Concat with empties: len = %d", len(got))
-	}
-}
-
 func TestPolylineBBox(t *testing.T) {
 	pl := Polyline{{Lat: 1, Lng: 2}, {Lat: 3, Lng: -1}}
 	b := pl.BBox()

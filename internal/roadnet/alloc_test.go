@@ -3,6 +3,7 @@ package roadnet
 import (
 	"testing"
 
+	"stmaker/internal/geo"
 	"stmaker/internal/racedetect"
 )
 
@@ -36,6 +37,25 @@ func TestNearestEdgeAllocs(t *testing.T) {
 		if allocs := testing.AllocsPerRun(20, match); allocs != 0 {
 			t.Fatalf("NearestEdge (chained %v) allocates %v times per %d samples, want 0", chained, allocs, len(pts))
 		}
+	}
+}
+
+// TestHMMCandidatesAllocs guards the HMM candidate query: warm, the
+// band walk and the tie fall-through both run in the step scratch and
+// allocate nothing.
+func TestHMMCandidatesAllocs(t *testing.T) {
+	g := cornerTieGraph(t, 8)
+	m := NewMatcher(g)
+	pts := append(benchTrajectory(20), geo.Destination(testOrigin, 225, 10)) // the last fix ties
+	var sc stepScratch
+	query := func() {
+		for _, p := range pts {
+			sc.matches = m.appendBandCandidates(sc.matches[:0], &sc.match, p, hmmCandidateRadiusMeters, hmmMaxCandidates)
+		}
+	}
+	query() // grow the buffers
+	if allocs := testing.AllocsPerRun(20, query); allocs != 0 {
+		t.Fatalf("a warm candidate query allocates %v times per %d fixes, want 0", allocs, len(pts))
 	}
 }
 

@@ -99,11 +99,13 @@ type candidate struct {
 // no candidate was within range. A break in candidates restarts the
 // chain, as Newson & Krumm prescribe for gaps. The returned slice is the
 // call's only allocation once the scratch pool and the distance cache
-// are warm.
+// are warm. The call adds its distance-cache hits and misses to the
+// cache's counters once, when it is done.
 func (h *HMMMatcher) MatchPoints(points []geo.Point) []Match {
 	out := make([]Match, len(points))
 	sc := acquireStepScratch()
 	defer releaseStepScratch(sc)
+	sc.cacheHits, sc.cacheMisses = 0, 0
 	start := 0
 	for start < len(points) {
 		end := h.decodeRun(sc, points, start, out)
@@ -113,6 +115,7 @@ func (h *HMMMatcher) MatchPoints(points []geo.Point) []Match {
 		}
 		start = end
 	}
+	h.cache.count(sc.cacheHits, sc.cacheMisses)
 	return out
 }
 
@@ -186,7 +189,7 @@ func (h *HMMMatcher) decodeRun(sc *stepScratch, points []geo.Point, start int, o
 // lattice in sc as its next step. It reports false, adding no step,
 // when p has no candidate.
 func (h *HMMMatcher) appendStep(sc *stepScratch, p geo.Point) bool {
-	sc.matches = h.m.appendCandidates(sc.matches[:0], &sc.match, p, hmmCandidateRadiusMeters, hmmMaxCandidates)
+	sc.matches = h.m.appendBandCandidates(sc.matches[:0], &sc.match, p, hmmCandidateRadiusMeters, hmmMaxCandidates)
 	if len(sc.matches) == 0 {
 		return false
 	}
@@ -224,6 +227,9 @@ type stepScratch struct {
 	missTgts []NodeID
 	missIdx  []int
 	missOut  []float64
+
+	// the call's distance-cache lookups, counted once per MatchPoints
+	cacheHits, cacheMisses int64
 }
 
 var stepScratchPool = sync.Pool{New: func() any { return &stepScratch{} }}
@@ -291,7 +297,8 @@ func (h *HMMMatcher) fillRow(rt *Router, sc *stepScratch, src NodeID, row []floa
 			row[ti] = 0
 			continue
 		}
-		if d, ok := h.cache.Lookup(src, t, sc.maxCost); ok {
+		if d, ok := h.cache.lookup(src, t, sc.maxCost); ok {
+			sc.cacheHits++
 			// A cached exact distance beyond the bound reads as unreached,
 			// keeping warm- and cold-cache decodes identical.
 			if d > sc.maxCost {
@@ -300,6 +307,7 @@ func (h *HMMMatcher) fillRow(rt *Router, sc *stepScratch, src NodeID, row []floa
 			row[ti] = d
 			continue
 		}
+		sc.cacheMisses++
 		if rt.provablyBeyond(src, t, sc.maxCost) {
 			// Provably unreached within the bound: exactly what the search
 			// would conclude, recorded in the cache the same way.
@@ -421,4 +429,80 @@ func (m *Matcher) appendCandidates(dst []Match, sc *matchScratch, p geo.Point, r
 		}
 	}
 	return dst[:n0+min(len(out), max)]
+}
+
+// bandEdge is an edge that the band walk of appendBandCandidates has
+// met: its distance from the fix and the projection NearestPoint found,
+// and whether it is a candidate, that is within the radius with a
+// sample within the radius plus matchSampleSpacing.
+type bandEdge struct {
+	id   int
+	d    float64
+	seg  int
+	t    float64
+	cand bool
+}
+
+// appendBandCandidates appends what appendCandidates appends for the
+// same arguments, from one walk of the index's prefilter band instead
+// of measuring and sorting every sample within radius +
+// matchSampleSpacing. It measures each edge of the band once with
+// NearestPoint, and takes the haversine of an edge's samples only while
+// the edge lies within radius and none of its samples has yet been
+// found within radius + matchSampleSpacing. The band holds every sample
+// that appendCandidates' query measures, and the haversines are the
+// same calls, so the candidates and their Distance and Along bits are
+// appendCandidates'. Nearest first is also its order, as long as no two
+// candidates lie at exactly the same distance. When two do,
+// appendCandidates runs instead: it puts the tied edge whose sample its
+// sorted hits meet first ahead, and only that sort can say which one
+// that is.
+func (m *Matcher) appendBandCandidates(dst []Match, sc *matchScratch, p geo.Point, radius float64, max int) []Match {
+	reach := radius + matchSampleSpacing
+	sc.band = m.ix.AppendBand(sc.band[:0], p, reach)
+	sc.edges = sc.edges[:0]
+	for _, it := range sc.band {
+		e := sc.bandEdge(it.ID)
+		if e == nil {
+			d, seg, t := m.g.Edge(EdgeID(it.ID)).Geometry.NearestPoint(p)
+			sc.edges = append(sc.edges, bandEdge{id: it.ID, d: d, seg: seg, t: t})
+			e = &sc.edges[len(sc.edges)-1]
+		}
+		if !e.cand && !(e.d > radius) && geo.Distance(p, it.Point) <= reach {
+			e.cand = true
+		}
+	}
+	// Insertion sort of the candidates by distance (the lists are tiny).
+	cands := sc.edges[:0]
+	for _, e := range sc.edges {
+		if !e.cand {
+			continue
+		}
+		cands = append(cands, e)
+		for j := len(cands) - 1; j > 0 && cands[j].d < cands[j-1].d; j-- {
+			cands[j], cands[j-1] = cands[j-1], cands[j]
+		}
+	}
+	for i := 1; i < len(cands); i++ {
+		if !(cands[i-1].d < cands[i].d) {
+			return m.appendCandidates(dst, sc, p, radius, max)
+		}
+	}
+	for _, c := range cands[:min(len(cands), max)] {
+		e := m.g.Edge(EdgeID(c.id))
+		dst = append(dst, Match{Edge: e, Distance: c.d, Along: e.Geometry.DistanceAlong(c.seg, c.t)})
+	}
+	return dst
+}
+
+// bandEdge returns the band walk's record of edge id, or nil before the
+// walk meets the edge. An edge's samples lie next to each other within a
+// grid cell, so the search starts from the edge met last.
+func (sc *matchScratch) bandEdge(id int) *bandEdge {
+	for i := len(sc.edges) - 1; i >= 0; i-- {
+		if sc.edges[i].id == id {
+			return &sc.edges[i]
+		}
+	}
+	return nil
 }

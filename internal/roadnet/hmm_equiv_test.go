@@ -156,7 +156,7 @@ func TestHMMSharedCacheConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	g := randomGrid(rng, 8, 180)
 	// A deliberately tiny cache forces constant eviction churn alongside
-	// concurrent hits — the worst case for the sharded LRU.
+	// concurrent hits — the worst case for the slot table.
 	cache := NewSPCache(SPCacheOptions{Capacity: 64})
 	h := NewHMMMatcher(g, HMMOptions{Cache: cache})
 

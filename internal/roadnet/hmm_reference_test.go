@@ -7,11 +7,11 @@ import (
 )
 
 // referenceHMM is the oracle the serving HMM matcher must reproduce byte
-// for byte. It decodes over the same candidates and emissions (the
-// matcher's own appendStep) but runs its own Viterbi, and it scores
-// every transition from up to four point-to-point Graph.ShortestPath
-// calls: no step table, no search bound, no distance cache and no
-// router.
+// for byte. It takes its candidates from the full query
+// (appendCandidates), not the matcher's band query, scores their
+// emissions itself, runs its own Viterbi, and scores every transition
+// from up to four point-to-point Graph.ShortestPath calls: no step
+// table, no search bound, no distance cache and no router.
 type referenceHMM struct{ h *HMMMatcher }
 
 func newReferenceHMM(g *Graph) referenceHMM {
@@ -20,9 +20,12 @@ func newReferenceHMM(g *Graph) referenceHMM {
 
 // candidates returns the scored candidate edges of p.
 func (r referenceHMM) candidates(p geo.Point) []candidate {
-	var sc stepScratch
-	r.h.appendStep(&sc, p)
-	return sc.cands
+	var out []candidate
+	for _, m := range r.h.m.appendCandidates(nil, new(matchScratch), p, hmmCandidateRadiusMeters, hmmMaxCandidates) {
+		z := m.Distance / hmmSigmaMeters
+		out = append(out, candidate{match: m, emission: -0.5 * z * z})
+	}
+	return out
 }
 
 // MatchPoints decodes each maximal run of points with candidates on its

@@ -33,11 +33,14 @@ func NewMatcher(g *Graph) *Matcher {
 }
 
 // matchScratch is the working memory of one edge query: the index hits
-// and the edges already scored. It is pooled (or held in the HMM's step
-// scratch), so per-sample matching allocates nothing.
+// and the edges already scored, or for the HMM's band query the band's
+// samples and the edges they belong to. It is pooled (or held in the
+// HMM's step scratch), so per-sample matching allocates nothing.
 type matchScratch struct {
-	hits []spatial.Result
-	seen []int
+	hits  []spatial.Result
+	seen  []int
+	band  []spatial.Item
+	edges []bandEdge
 }
 
 var matchScratchPool = sync.Pool{New: func() any { return new(matchScratch) }}

@@ -2,13 +2,14 @@ package roadnet
 
 import (
 	"math"
-	"sync"
+	"math/bits"
+	"sync/atomic"
 
 	"stmaker/internal/metrics"
 )
 
-// SPCache is a concurrency-safe sharded LRU cache of node-to-node shortest
-// path distances, shared across requests by the serving path: every HMM
+// SPCache is a concurrency-safe cache of node-to-node shortest path
+// distances, shared across requests by the serving path: every HMM
 // Viterbi step reuses the transition distances of any earlier step — or any
 // concurrent request — that touched the same candidate nodes, which on real
 // road networks happens constantly (trajectories overlap and candidates
@@ -23,32 +24,52 @@ import (
 //     bound is <= b; a lookup needing a larger bound is a miss and
 //     re-searches.
 //
-// The cache is sharded to keep lock contention negligible under concurrent
-// Summarize calls; each shard is an independent mutex-guarded LRU list.
+// The cache is one fixed table of open-addressed slots. A key lives in
+// one of the spProbe slots that start at its hash, its probe window.
+// Each slot is guarded by a sequence counter instead of a lock: a
+// writer takes the slot by moving the counter from even to odd, writes,
+// and moves it to the next even value; a reader reads the counter, the
+// slot and the counter again, and takes the value only if both reads
+// saw the same even count. So a lookup takes no lock and writes
+// nothing, and a read that overlaps a write is a miss. Every decode is
+// the same whatever the cache holds, so a miss costs only a search.
 // A nil *SPCache is valid and never hits, so callers need no branching.
 type SPCache struct {
-	shards []spShard
-	mask   uint64
+	slots []spSlot
+	shift uint // a key's home slot is the top bits of its hash
+	probe int  // probe window length: spProbe, or the table size if smaller
 
 	hits      *metrics.Counter
 	misses    *metrics.Counter
 	evictions *metrics.Counter
 }
 
-// DefaultSPCacheEntries is the capacity used when SPCacheOptions.Capacity
-// is zero: at 24 bytes an entry plus map overhead this is a few MiB, sized
-// for city-scale candidate-node working sets.
+// spSlot is one table slot, 24 bytes.
+type spSlot struct {
+	// seq is 0 for a slot never written, odd while a writer holds it,
+	// and even otherwise. After 2³¹ writes it wraps to 0 and the slot
+	// reads as empty, which costs at most a miss.
+	seq atomic.Uint32
+	key atomic.Uint64
+	// val holds the bits of an exact distance d ≥ 0, or of −b for a
+	// marker of a pair unreached within bound b > 0.
+	val atomic.Uint64
+}
+
+// DefaultSPCacheEntries is the table size used when
+// SPCacheOptions.Capacity is zero: 65,536 slots of 24 bytes, 1.5 MiB,
+// sized for city-scale candidate-node working sets.
 const DefaultSPCacheEntries = 1 << 16
 
-// spCacheShards is the shard count (power of two). 16 shards keep
-// contention negligible for the request concurrencies stmakerd allows.
-const spCacheShards = 16
+// spProbe is the length of a key's probe window. A store whose window
+// is full overwrites one of its slots.
+const spProbe = 8
 
 // SPCacheOptions configures NewSPCache. Counter fields may be nil; the
 // cache then keeps private counters, still readable through Stats.
 type SPCacheOptions struct {
-	// Capacity is the total entry budget across shards (0 uses
-	// DefaultSPCacheEntries; minimum one entry per shard).
+	// Capacity is the number of table slots, rounded down to a power of
+	// two (0 uses DefaultSPCacheEntries; minimum one slot).
 	Capacity int
 	// Hits, Misses and Evictions, when non-nil, are incremented on the
 	// corresponding cache events — pass counters from a metrics.Registry to
@@ -62,13 +83,11 @@ func NewSPCache(opts SPCacheOptions) *SPCache {
 	if capacity <= 0 {
 		capacity = DefaultSPCacheEntries
 	}
-	perShard := (capacity + spCacheShards - 1) / spCacheShards
-	if perShard < 1 {
-		perShard = 1
-	}
+	size := 1 << (bits.Len(uint(capacity)) - 1)
 	c := &SPCache{
-		shards:    make([]spShard, spCacheShards),
-		mask:      spCacheShards - 1,
+		slots:     make([]spSlot, size),
+		shift:     uint(65 - bits.Len(uint(capacity))),
+		probe:     min(spProbe, size),
 		hits:      opts.Hits,
 		misses:    opts.Misses,
 		evictions: opts.Evictions,
@@ -82,9 +101,6 @@ func NewSPCache(opts SPCacheOptions) *SPCache {
 	if c.evictions == nil {
 		c.evictions = &metrics.Counter{}
 	}
-	for i := range c.shards {
-		c.shards[i].init(perShard)
-	}
 	return c
 }
 
@@ -94,7 +110,7 @@ type SPCacheStats struct {
 	Entries                 int
 }
 
-// Stats reads the counters and current entry count.
+// Stats reads the counters and counts the slots ever written.
 func (c *SPCache) Stats() SPCacheStats {
 	if c == nil {
 		return SPCacheStats{}
@@ -104,142 +120,160 @@ func (c *SPCache) Stats() SPCacheStats {
 		Misses:    c.misses.Value(),
 		Evictions: c.evictions.Value(),
 	}
-	for i := range c.shards {
-		sh := &c.shards[i]
-		sh.mu.Lock()
-		s.Entries += len(sh.entries)
-		sh.mu.Unlock()
+	for i := range c.slots {
+		if c.slots[i].seq.Load() != 0 {
+			s.Entries++
+		}
 	}
 	return s
 }
 
-// spKey packs a (src, dst) node pair into one map key.
-type spKey uint64
-
-func makeSPKey(src, dst NodeID) spKey {
-	return spKey(uint64(uint32(src))<<32 | uint64(uint32(dst)))
+// makeSPKey packs a (src, dst) node pair into one key.
+func makeSPKey(src, dst NodeID) uint64 {
+	return uint64(uint32(src))<<32 | uint64(uint32(dst))
 }
 
-// shardOf picks the shard of a key via Fibonacci hashing, so pairs that
-// share a source still spread across shards.
-func (c *SPCache) shardOf(k spKey) *spShard {
-	h := uint64(k) * 0x9E3779B97F4A7C15
-	return &c.shards[(h>>48)&c.mask]
+// window returns the first slot of k's probe window and the offset,
+// within the window, of the slot a full window gives up to k. Both come
+// from a Fibonacci hash, so pairs that share a source still spread over
+// the table.
+func (c *SPCache) window(k uint64) (home uint64, victim int) {
+	h := k * 0x9E3779B97F4A7C15
+	// A shift of 64 (a one-slot table) yields 0, as Go defines it.
+	return h >> c.shift, int(h>>29) & (c.probe - 1)
+}
+
+func (c *SPCache) slot(home uint64, i int) *spSlot {
+	return &c.slots[(home+uint64(i))&uint64(len(c.slots)-1)]
 }
 
 // Lookup returns the cached shortest distance from src to dst, if the
 // cache can answer for the given search bound. On a hit, dist is either
 // the exact distance (possibly greater than bound — callers enforce their
 // own bound) or +Inf, meaning "known unreached within a bound >= bound".
-// A nil cache always misses without counting.
+// Lookup counts its hit or miss; the HMM matcher reads without counting
+// and adds its counts once per MatchPoints call. A nil cache always
+// misses without counting.
 func (c *SPCache) Lookup(src, dst NodeID, bound float64) (dist float64, ok bool) {
 	if c == nil {
 		return 0, false
 	}
-	k := makeSPKey(src, dst)
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	e := sh.entries[k]
-	if e == nil || (math.IsInf(e.dist, 1) && e.bound < bound) {
-		sh.mu.Unlock()
+	dist, ok = c.lookup(src, dst, bound)
+	if ok {
+		c.hits.Inc()
+	} else {
 		c.misses.Inc()
+	}
+	return dist, ok
+}
+
+// lookup is Lookup without the counting: it loads and compares, and
+// writes nothing.
+func (c *SPCache) lookup(src, dst NodeID, bound float64) (float64, bool) {
+	if c == nil {
 		return 0, false
 	}
-	sh.moveToFront(e)
-	dist = e.dist
-	sh.mu.Unlock()
-	c.hits.Inc()
-	return dist, true
+	k := makeSPKey(src, dst)
+	home, _ := c.window(k)
+	for i := 0; i < c.probe; i++ {
+		s := c.slot(home, i)
+		seq := s.seq.Load()
+		if seq == 0 {
+			// Stores fill a window front to back and never empty a
+			// slot, so k lies in no later slot.
+			return 0, false
+		}
+		if s.key.Load() != k {
+			continue
+		}
+		v := math.Float64frombits(s.val.Load())
+		if seq&1 != 0 || s.seq.Load() != seq {
+			return 0, false // the read overlapped a write
+		}
+		if !math.Signbit(v) {
+			return v, true
+		}
+		if -v >= bound {
+			return math.Inf(1), true
+		}
+		return 0, false
+	}
+	return 0, false
+}
+
+// count adds a decode's lookup outcomes to the counters.
+func (c *SPCache) count(hits, misses int64) {
+	if c == nil {
+		return
+	}
+	if hits != 0 {
+		c.hits.Add(hits)
+	}
+	if misses != 0 {
+		c.misses.Add(misses)
+	}
 }
 
 // Store records the outcome of a bounded search for the (src, dst) pair:
 // dist is the exact shortest distance when finite, or +Inf meaning the
 // search's bound was exhausted without settling dst. Exact distances
 // always overwrite; an unreached marker only widens a previous marker's
-// bound, never replaces an exact distance.
+// bound, never replaces an exact distance. A store into a full probe
+// window overwrites one of its slots and counts an eviction. A store that
+// meets a slot another writer holds stores nothing, as do a negative or
+// NaN distance and a marker whose bound is not positive, which no
+// search produces.
 func (c *SPCache) Store(src, dst NodeID, dist, bound float64) {
 	if c == nil {
 		return
 	}
-	k := makeSPKey(src, dst)
-	sh := c.shardOf(k)
-	sh.mu.Lock()
-	if e := sh.entries[k]; e != nil {
-		if math.IsInf(dist, 1) {
-			if math.IsInf(e.dist, 1) && bound > e.bound {
-				e.bound = bound
-			}
-		} else {
-			e.dist, e.bound = dist, 0
-		}
-		sh.moveToFront(e)
-		sh.mu.Unlock()
+	var v float64
+	switch {
+	case dist >= 0 && !math.IsInf(dist, 1):
+		v = math.Abs(dist) // +0 for −0: the sign bit marks a marker
+	case math.IsInf(dist, 1) && bound > 0:
+		v = -bound
+	default:
 		return
 	}
-	evicted := sh.insert(k, dist, bound)
-	sh.mu.Unlock()
-	if evicted {
+	k := makeSPKey(src, dst)
+	home, victim := c.window(k)
+	var victimSeq uint32
+	for i := 0; i < c.probe; i++ {
+		s := c.slot(home, i)
+		seq := s.seq.Load()
+		switch {
+		case seq&1 != 0:
+			return // another writer holds the slot
+		case seq == 0:
+			s.write(seq, k, v)
+			return
+		case s.key.Load() == k:
+			old := math.Float64frombits(s.val.Load())
+			if math.Signbit(v) && !(math.Signbit(old) && v < old) {
+				return // a marker only widens a narrower marker
+			}
+			s.write(seq, k, v)
+			return
+		}
+		if i == victim {
+			victimSeq = seq
+		}
+	}
+	if c.slot(home, victim).write(victimSeq, k, v) {
 		c.evictions.Inc()
 	}
 }
 
-// spEntry is one cache slot, intrusively linked into its shard's LRU list.
-type spEntry struct {
-	key        spKey
-	dist       float64 // exact distance, or +Inf (unreached within bound)
-	bound      float64 // bound of an unreached marker; 0 for exact entries
-	prev, next *spEntry
-}
-
-// spShard is one LRU segment: a map for lookup plus a circular
-// doubly-linked list with a sentinel head ordered most- to
-// least-recently-used.
-type spShard struct {
-	mu      sync.Mutex
-	entries map[spKey]*spEntry
-	head    spEntry // sentinel: head.next is MRU, head.prev is LRU
-	cap     int
-}
-
-func (sh *spShard) init(capacity int) {
-	sh.entries = make(map[spKey]*spEntry, capacity)
-	sh.head.prev = &sh.head
-	sh.head.next = &sh.head
-	sh.cap = capacity
-}
-
-func (sh *spShard) moveToFront(e *spEntry) {
-	if sh.head.next == e {
-		return
+// write takes the slot if its counter still reads seq, so that nothing
+// read from the slot since has changed, stores the entry and releases
+// the slot. It reports false, storing nothing, if the counter moved.
+func (s *spSlot) write(seq uint32, k uint64, v float64) bool {
+	if !s.seq.CompareAndSwap(seq, seq+1) {
+		return false
 	}
-	e.prev.next = e.next
-	e.next.prev = e.prev
-	sh.pushFront(e)
-}
-
-func (sh *spShard) pushFront(e *spEntry) {
-	e.prev = &sh.head
-	e.next = sh.head.next
-	e.next.prev = e
-	sh.head.next = e
-}
-
-// insert adds a new entry, reusing the evicted LRU slot when at capacity.
-// It reports whether an eviction happened.
-func (sh *spShard) insert(k spKey, dist, bound float64) bool {
-	var e *spEntry
-	evicted := false
-	if len(sh.entries) >= sh.cap {
-		e = sh.head.prev // LRU victim
-		e.prev.next = &sh.head
-		sh.head.prev = e.prev
-		delete(sh.entries, e.key)
-		evicted = true
-	} else {
-		e = &spEntry{}
-	}
-	e.key, e.dist, e.bound = k, dist, bound
-	sh.entries[k] = e
-	sh.pushFront(e)
-	return evicted
+	s.key.Store(k)
+	s.val.Store(math.Float64bits(v))
+	s.seq.Store(seq + 2)
+	return true
 }

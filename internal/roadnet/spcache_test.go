@@ -1,6 +1,7 @@
 package roadnet
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -78,21 +79,89 @@ func TestSPCacheEvictsAtCapacity(t *testing.T) {
 	}
 }
 
-func TestSPShardLRUOrder(t *testing.T) {
-	var sh spShard
-	sh.init(2)
-	sh.insert(1, 10, 0)
-	sh.insert(2, 20, 0)
-	// Touch key 1 so key 2 becomes the LRU victim.
-	sh.moveToFront(sh.entries[1])
-	if evicted := sh.insert(3, 30, 0); !evicted {
-		t.Fatal("insert at capacity should evict")
+// TestSPCacheFullWindowOverwritesOneSlot fills an eight-slot table,
+// which is the probe window of every key, and then stores new keys: each
+// must overwrite exactly one slot and count one eviction. Stores of keys
+// already present merge into their own slots by the usual rules and
+// evict nothing, and a new key's marker keeps those rules too.
+func TestSPCacheFullWindowOverwritesOneSlot(t *testing.T) {
+	c := NewSPCache(SPCacheOptions{Capacity: 8})
+	inf := math.Inf(1)
+	for i := 0; i < 8; i++ {
+		c.Store(NodeID(i), 100, float64(i), 0)
 	}
-	if _, ok := sh.entries[2]; ok {
-		t.Fatal("LRU victim (key 2) survived")
+	if s := c.Stats(); s.Entries != 8 || s.Evictions != 0 {
+		t.Fatalf("after filling the table: %+v, want 8 entries and no eviction", s)
 	}
-	if sh.entries[1] == nil || sh.entries[3] == nil {
-		t.Fatalf("expected keys 1 and 3 to remain, have %d entries", len(sh.entries))
+	c.Store(0, 100, inf, 5000) // a marker never replaces an exact distance
+	c.Store(1, 100, 11, 0)     // an exact distance replaces one
+	if d, ok := c.Lookup(0, 100, 1e9); !ok || d != 0 {
+		t.Fatalf("a marker clobbered an exact value: %v, %v", d, ok)
+	}
+	if d, ok := c.Lookup(1, 100, 1e9); !ok || d != 11 {
+		t.Fatalf("exact overwrite lookup = %v, %v", d, ok)
+	}
+	if s := c.Stats(); s.Evictions != 0 {
+		t.Fatalf("stores of present keys evicted: %+v", s)
+	}
+
+	c.Store(8, 100, 8, 0)
+	if s := c.Stats(); s.Entries != 8 || s.Evictions != 1 {
+		t.Fatalf("after a store into the full window: %+v, want 8 entries and 1 eviction", s)
+	}
+	if d, ok := c.Lookup(8, 100, 1e9); !ok || d != 8 {
+		t.Fatalf("the new key = %v, %v", d, ok)
+	}
+	kept := 0
+	for i := 0; i < 8; i++ {
+		if _, ok := c.Lookup(NodeID(i), 100, 1e9); ok {
+			kept++
+		}
+	}
+	if kept != 7 {
+		t.Fatalf("%d of the 8 earlier keys survive one eviction, want 7", kept)
+	}
+
+	c.Store(9, 100, inf, 500)
+	if s := c.Stats(); s.Evictions != 2 {
+		t.Fatalf("a new marker evicted %d entries in all, want 2", s.Evictions)
+	}
+	if d, ok := c.Lookup(9, 100, 400); !ok || !math.IsInf(d, 1) {
+		t.Fatalf("narrow-bound lookup = %v, %v", d, ok)
+	}
+	if _, ok := c.Lookup(9, 100, 600); ok {
+		t.Fatal("wide-bound lookup should miss")
+	}
+	c.Store(9, 100, inf, 800)
+	c.Store(9, 100, inf, 100)
+	if d, ok := c.Lookup(9, 100, 600); !ok || !math.IsInf(d, 1) {
+		t.Fatalf("widened marker lookup = %v, %v", d, ok)
+	}
+	if s := c.Stats(); s.Entries != 8 || s.Evictions != 2 {
+		t.Fatalf("merging markers evicted: %+v", s)
+	}
+}
+
+// TestSPCacheTableSize pins how Capacity sizes the table: rounded down
+// to a power of two, at least one slot.
+func TestSPCacheTableSize(t *testing.T) {
+	for _, tc := range []struct{ capacity, slots int }{
+		{0, DefaultSPCacheEntries}, {1, 1}, {3, 2}, {8, 8}, {100, 64},
+	} {
+		c := NewSPCache(SPCacheOptions{Capacity: tc.capacity})
+		if len(c.slots) != tc.slots {
+			t.Errorf("Capacity %d: %d slots, want %d", tc.capacity, len(c.slots), tc.slots)
+		}
+		n := 3 * min(tc.slots, 64)
+		for i := 0; i < n; i++ {
+			c.Store(NodeID(i), 1, float64(i), 0)
+		}
+		if s := c.Stats(); s.Entries > tc.slots {
+			t.Errorf("Capacity %d: %d entries in %d slots", tc.capacity, s.Entries, tc.slots)
+		}
+		if d, ok := c.Lookup(NodeID(n-1), 1, 1e9); !ok || d != float64(n-1) {
+			t.Errorf("Capacity %d: the last store reads back %v, %v", tc.capacity, d, ok)
+		}
 	}
 }
 
@@ -150,4 +219,131 @@ func TestSPCacheConcurrentSmoke(t *testing.T) {
 	if s := c.Stats(); s.Entries > 256 {
 		t.Fatalf("cache exceeded capacity under concurrency: %+v", s)
 	}
+}
+
+// TestMatchPointsCountsCacheLookups checks the cache counters a decode
+// leaves: roadnet_sp_cache_hits_total plus roadnet_sp_cache_misses_total
+// must equal the lookups the decode made, counted here from the
+// reference candidates: per Viterbi step, every distinct endpoint node
+// of the previous step's candidates against every distinct endpoint
+// node of the next step's, except a node against itself. A cold decode
+// misses some lookups, and a warm one hits every lookup.
+func TestMatchPointsCountsCacheLookups(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	g := randomGrid(rng, 7, 200)
+	reg := metrics.NewRegistry()
+	hits, misses := reg.Counter("roadnet_sp_cache_hits_total"), reg.Counter("roadnet_sp_cache_misses_total")
+	h := NewHMMMatcher(g, HMMOptions{Cache: NewSPCache(SPCacheOptions{Hits: hits, Misses: misses})})
+	pts := randomWalkPoints(rng, g, 120)
+
+	ref := newReferenceHMM(g)
+	endpoints := func(cands []candidate) []NodeID {
+		var nodes []NodeID
+		for _, c := range cands {
+			nodes = appendNodeDedup(nodes, c.match.Edge.From)
+			nodes = appendNodeDedup(nodes, c.match.Edge.To)
+		}
+		return nodes
+	}
+	var lookups int64
+	var prev []NodeID
+	for _, p := range pts {
+		// A fix without candidates has no endpoints, which ends the run.
+		cur := endpoints(ref.candidates(p))
+		for _, src := range prev {
+			for _, dst := range cur {
+				if src != dst {
+					lookups++
+				}
+			}
+		}
+		prev = cur
+	}
+	if lookups == 0 {
+		t.Fatal("the trajectory makes no lookups")
+	}
+
+	h.MatchPoints(pts)
+	if got := hits.Value() + misses.Value(); got != lookups || misses.Value() == 0 {
+		t.Fatalf("cold decode counted %d hits and %d misses, want %d lookups with some misses", hits.Value(), misses.Value(), lookups)
+	}
+	hits0, misses0 := hits.Value(), misses.Value()
+	h.MatchPoints(pts)
+	if dh, dm := hits.Value()-hits0, misses.Value()-misses0; dh != lookups || dm != 0 {
+		t.Fatalf("warm decode counted %d hits and %d misses, want %d hits", dh, dm, lookups)
+	}
+}
+
+// TestSPCacheConcurrentNoTornReads races writers and readers of 36
+// keys on a table of eight slots, so that stores evict all the time and
+// a lookup often finds its key in a slot that another writer is
+// overwriting. Each key's entry encodes the key: an exact distance of
+// src·1000 + dst, or, for one key in three, a marker whose bound is that
+// number. A hit that returns anything but its own key's entry means a
+// read mixed two writes. Run under -race by make check.
+func TestSPCacheConcurrentNoTornReads(t *testing.T) {
+	c := NewSPCache(SPCacheOptions{Capacity: 8})
+	const workers, ops = 4, 100000
+	var wg sync.WaitGroup
+	errs := make(chan string, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed))
+			for i := 0; i < ops; i++ {
+				src, dst := NodeID(1+rng.Intn(6)), NodeID(1+rng.Intn(6))
+				enc := float64(src)*1000 + float64(dst)
+				marker := (src+dst)%3 == 0
+				if rng.Intn(2) == 0 {
+					if marker {
+						c.Store(src, dst, math.Inf(1), enc)
+					} else {
+						c.Store(src, dst, enc, 0)
+					}
+					continue
+				}
+				d, ok := c.lookup(src, dst, enc)
+				switch {
+				case !ok:
+				case marker && !math.IsInf(d, 1), !marker && d != enc:
+					errs <- fmt.Sprintf("pair (%d, %d) read %v", src, dst, d)
+					return
+				}
+				if _, ok := c.lookup(src, dst, enc+1); ok && marker {
+					errs <- fmt.Sprintf("marker of (%d, %d) answered a bound past its own", src, dst)
+					return
+				}
+			}
+		}(int64(w))
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Fatal(e)
+	}
+	if s := c.Stats(); s.Entries > 8 || s.Evictions == 0 {
+		t.Fatalf("stats = %+v, want at most 8 entries and some evictions", s)
+	}
+}
+
+// BenchmarkSPCacheLookupParallel measures the matcher's read of a warm
+// cache, which takes no lock and writes nothing, from every
+// GOMAXPROCS goroutine at once.
+func BenchmarkSPCacheLookupParallel(b *testing.B) {
+	c := NewSPCache(SPCacheOptions{})
+	const keys = 4096
+	for i := 0; i < keys; i++ {
+		c.Store(NodeID(i), NodeID(i+1), float64(i), 0)
+	}
+	b.ResetTimer()
+	b.RunParallel(func(pb *testing.PB) {
+		i := 0
+		for pb.Next() {
+			if _, ok := c.lookup(NodeID(i), NodeID(i+1), 1e9); !ok {
+				panic("warm key missed")
+			}
+			i = (i + 1) % keys
+		}
+	})
 }

@@ -244,15 +244,8 @@ func byDistance(a, b Result) int { return cmp.Compare(a.Distance, b.Distance) }
 // radius (see prefilterBox). With a reused dst, a query allocates
 // nothing.
 func (ix *Index) AppendWithin(dst []Result, p geo.Point, radius float64) []Result {
-	w, colSpanDeg, ok := ix.window(p, radius)
+	w, latHalf, lngHalf, ok := ix.band(p, radius)
 	if !ok {
-		return dst
-	}
-	latHalf, lngHalf := ix.prefilterBox(p, radius, colSpanDeg)
-	// Rows and columns wholly outside the bands hold no hit. The extra
-	// slackDeg keeps every item that passes the per-item test inside
-	// the narrowed window despite rounding in the band edges.
-	if w, ok = ix.narrow(w, p, latHalf+slackDeg, lngHalf+slackDeg); !ok {
 		return dst
 	}
 	n0 := len(dst)
@@ -269,6 +262,47 @@ func (ix *Index) AppendWithin(dst []Result, p geo.Point, radius float64) []Resul
 	}
 	slices.SortFunc(dst[n0:], byDistance)
 	return dst
+}
+
+// AppendBand appends to dst, unmeasured and in walk order, every item
+// that AppendWithin(p, radius) measures: the items inside its prefilter
+// band, a superset of its hits that holds every hit. Filtering the
+// result by geo.Distance(p, it.Point) <= radius yields exactly
+// AppendWithin's hits, with the same Distance bits, in the order of its
+// walk before the sort. A caller that needs only some of the hits
+// measures only those. With a reused dst, a query allocates nothing.
+func (ix *Index) AppendBand(dst []Item, p geo.Point, radius float64) []Item {
+	w, latHalf, lngHalf, ok := ix.band(p, radius)
+	if !ok {
+		return dst
+	}
+	for row := w.r0; row <= w.r1; row++ {
+		k := row * ix.cols
+		for _, it := range ix.items[ix.offsets[k+w.c0]:ix.offsets[k+w.c1+1]] {
+			if math.Abs(it.Point.Lat-p.Lat) > latHalf || math.Abs(it.Point.Lng-p.Lng) > lngHalf {
+				continue
+			}
+			dst = append(dst, it)
+		}
+	}
+	return dst
+}
+
+// band returns the cells a query for radius metres around p walks and
+// the half-widths of its prefilter band (see prefilterBox): an item of
+// those cells that lies outside the band is provably farther than
+// radius. ok is false when no item can be a hit.
+func (ix *Index) band(p geo.Point, radius float64) (w window, latHalf, lngHalf float64, ok bool) {
+	w, colSpanDeg, ok := ix.window(p, radius)
+	if !ok {
+		return window{}, 0, 0, false
+	}
+	latHalf, lngHalf = ix.prefilterBox(p, radius, colSpanDeg)
+	// Rows and columns wholly outside the bands hold no hit. The extra
+	// slackDeg keeps every item that passes the per-item test inside
+	// the narrowed window despite rounding in the band edges.
+	w, ok = ix.narrow(w, p, latHalf+slackDeg, lngHalf+slackDeg)
+	return w, latHalf, lngHalf, ok
 }
 
 // narrow intersects w with the cells that overlap the latHalf × lngHalf

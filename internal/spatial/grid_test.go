@@ -169,6 +169,14 @@ func (ref *referenceIndex) key(p geo.Point) [2]int32 {
 }
 
 func (ref *referenceIndex) referenceWithin(p geo.Point, radius float64) []Result {
+	out := ref.referenceWalk(p, radius)
+	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
+	return out
+}
+
+// referenceWalk returns the hits of referenceWithin in walk order,
+// before the sort.
+func (ref *referenceIndex) referenceWalk(p geo.Point, radius float64) []Result {
 	if radius < 0 {
 		return nil
 	}
@@ -190,7 +198,6 @@ func (ref *referenceIndex) referenceWithin(p geo.Point, radius float64) []Result
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Distance < out[j].Distance })
 	return out
 }
 
@@ -234,11 +241,14 @@ func randomItems(rng *rand.Rand, c geo.Point, n int, spread float64) []Item {
 }
 
 // checkAgainstReference queries ix and the reference at c and at a few
-// points around it, appending to a non-empty dst.
+// points around it, appending to a non-empty dst. Both AppendWithin and
+// AppendBand are checked: the band, measured and cut at radius, must
+// hold the reference's hits in the reference's walk order.
 func checkAgainstReference(t *testing.T, rng *rand.Rand, ix *Index, items []Item, c geo.Point, radius float64) {
 	t.Helper()
 	ref := newReferenceIndex(ix.cellDeg, items)
 	prefix := []Result{{ID: -7, Point: c, Distance: 12.5}}
+	bandPrefix := []Item{{ID: -7, Point: c}}
 	for q := 0; q < 4; q++ {
 		p := c
 		if q > 0 {
@@ -246,6 +256,18 @@ func checkAgainstReference(t *testing.T, rng *rand.Rand, ix *Index, items []Item
 		}
 		dst := append(make([]Result, 0, 4), prefix...)
 		requireSameHits(t, "AppendWithin", prefix, ix.AppendWithin(dst, p, radius), ref.referenceWithin(p, radius))
+
+		band := ix.AppendBand(append(make([]Item, 0, 4), bandPrefix...), p, radius)
+		if len(band) == 0 || band[0] != bandPrefix[0] {
+			t.Fatalf("AppendBand dropped or changed dst's own element: %+v", band)
+		}
+		var measured []Result
+		for _, it := range band[1:] {
+			if d := geo.Distance(p, it.Point); d <= radius {
+				measured = append(measured, Result{ID: it.ID, Point: it.Point, Distance: d})
+			}
+		}
+		requireSameHits(t, "AppendBand", nil, measured, ref.referenceWalk(p, radius))
 	}
 }
 
@@ -336,10 +358,18 @@ func TestAppendWithinAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("warm AppendWithin allocates %v times per query", allocs)
 	}
+	band := ix.AppendBand(nil, origin, 2000)
+	allocs = testing.AllocsPerRun(100, func() {
+		band = ix.AppendBand(band[:0], origin, 2000)
+	})
+	if allocs != 0 {
+		t.Fatalf("warm AppendBand allocates %v times per query", allocs)
+	}
 }
 
-// FuzzWithinEquivalence checks AppendWithin against the reference walk
-// on fuzzer-chosen sets: centre, cell size, item count and radius.
+// FuzzWithinEquivalence checks AppendWithin and AppendBand against the
+// reference walk on fuzzer-chosen sets: centre, cell size, item count
+// and radius.
 func FuzzWithinEquivalence(f *testing.F) {
 	f.Add(int64(1), 39.9, 116.4, 120.0, uint8(50), 210.0)
 	f.Add(int64(2), -84.9, 179.9, 300.0, uint8(200), 1999.0)

@@ -89,7 +89,8 @@ const (
 	// MetricSPCacheMisses counts cache lookups that fell through to a
 	// bounded graph search.
 	MetricSPCacheMisses = "roadnet_sp_cache_misses_total"
-	// MetricSPCacheEvictions counts LRU evictions from the cache.
+	// MetricSPCacheEvictions counts cache entries overwritten because a
+	// new pair's probe window was full.
 	MetricSPCacheEvictions = "roadnet_sp_cache_evictions_total"
 
 	// MetricModelBuild times model-assembly work that happens inside

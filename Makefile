@@ -1,7 +1,7 @@
 # Tier-1 gate: every change must keep `make check` green.
 .PHONY: check build vet lint test allocs bench bench-check bench-smoke bench-routing fuzz-smoke
 
-check: build vet lint test allocs
+check: build vet lint test allocs bench-check
 
 build:
 	go build ./...
@@ -17,9 +17,10 @@ vet:
 
 # Project-specific static analysis: metric naming/doc sync, lat/lng
 # argument order, exact float comparison, context discipline, sync.Pool
-# pairing, and the dataflow checks — Model immutability, pooled-scratch
+# pairing, the dataflow checks — Model immutability, pooled-scratch
 # escape, atomic-cell publish discipline, and the error/status taxonomy
-# against docs/API.md. See docs/STATIC_ANALYSIS.md.
+# against docs/API.md — and testonly, which flags internal/ functions
+# that only tests call. See docs/STATIC_ANALYSIS.md.
 lint:
 	go run ./cmd/stmaker-lint
 
@@ -35,9 +36,10 @@ bench:
 	go test -bench=. -benchmem ./...
 
 # The end-to-end benchmark (go run ./bench, see bench/README.md) is a
-# nested module outside ./..., so the targets above never compile it.
-# Vet and test it here, so a library change that breaks its imports
-# fails CI instead of the next benchmark run.
+# nested module outside ./..., so the other targets never compile it.
+# Vet and test it here, as part of `make check`, so a library change
+# that breaks its imports (say, deleting a function only bench/ calls)
+# fails the gate instead of the next benchmark run.
 bench-check:
 	cd bench && go vet ./... && go test ./...
 

@@ -8,8 +8,8 @@ package stmaker_test
 
 import (
 	"bytes"
-	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
@@ -17,9 +17,36 @@ import (
 	"stmaker/internal/calibrate"
 	"stmaker/internal/experiments"
 	"stmaker/internal/feature"
-	"stmaker/internal/partition"
 	"stmaker/internal/traj"
 )
+
+// ffColumn returns the FF series of one feature across a figure's rows,
+// or nil for a key the figure does not carry.
+func ffColumn(keys []string, rows [][]float64, key string) []float64 {
+	j := slices.Index(keys, key)
+	if j < 0 {
+		return nil
+	}
+	col := make([]float64, len(rows))
+	for i, row := range rows {
+		col[i] = row[j]
+	}
+	return col
+}
+
+// dayNight averages a Fig. 8 column (twelve two-hour buckets) over the
+// daytime buckets, 6:00–18:00, and over the night buckets: the headline
+// contrast of Fig. 8.
+func dayNight(col []float64) (day, night float64) {
+	for b, ff := range col {
+		if h := 2 * b; h >= 6 && h < 18 {
+			day += ff
+		} else {
+			night += ff
+		}
+	}
+	return day / 6, night / 6
+}
 
 var (
 	benchOnce  sync.Once
@@ -107,7 +134,7 @@ func BenchmarkFig8FeatureFrequencyByTime(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		day, night = res.DaytimeVsNight(feature.KeySpeed)
+		day, night = dayNight(ffColumn(res.Keys, res.FF[:], feature.KeySpeed))
 	}
 	b.ReportMetric(day, "FF(Spe)-day")
 	b.ReportMetric(night, "FF(Spe)-night")
@@ -140,7 +167,7 @@ func BenchmarkFig10aWeightSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		col := res.ColumnFF(feature.KeySpeed)
+		col := ffColumn(res.Keys, res.FF, feature.KeySpeed)
 		rise = col[len(col)-1] - col[0]
 	}
 	b.ReportMetric(rise, "FF(Spe)-rise")
@@ -157,8 +184,8 @@ func BenchmarkFig10bPartitionSweep(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		first := res.ColumnFF(feature.KeyStayPoints)[0] + res.ColumnFF(feature.KeySpeed)[0]
-		last := res.ColumnFF(feature.KeyStayPoints)[3] + res.ColumnFF(feature.KeySpeed)[3]
+		stay, spe := ffColumn(res.Keys, res.FF, feature.KeyStayPoints), ffColumn(res.Keys, res.FF, feature.KeySpeed)
+		first, last := stay[0]+spe[0], stay[3]+spe[3]
 		rise = last - first
 	}
 	b.ReportMetric(rise, "movingFF-rise")
@@ -210,104 +237,6 @@ func BenchmarkFig12bTimingByK(b *testing.B) {
 	b.ReportMetric(atK7, "k7-ms")
 }
 
-// randomInput builds a synthetic partition input of n segments.
-func randomInput(n int, seed int64) partition.Input {
-	rng := rand.New(rand.NewSource(seed))
-	in := partition.Input{
-		Features:     make([][]float64, n),
-		Significance: make([]float64, n),
-	}
-	for i := 0; i < n; i++ {
-		in.Features[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
-		in.Significance[i] = rng.Float64()
-	}
-	return in
-}
-
-// BenchmarkAblationDPPartition times the exact-k DP partitioner on a
-// 200-segment trajectory.
-func BenchmarkAblationDPPartition(b *testing.B) {
-	in := randomInput(200, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.KPartition(in, 7, partition.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationGreedyPartition times the greedy equivalent; on this
-// separable potential it reaches the same energy (see partition tests).
-func BenchmarkAblationGreedyPartition(b *testing.B) {
-	in := randomInput(200, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := partition.GreedyK(in, 7, partition.Options{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAblationUniformPartition times the naive equal-split baseline
-// and reports its energy excess over the DP optimum.
-func BenchmarkAblationUniformPartition(b *testing.B) {
-	in := randomInput(200, 1)
-	dp, err := partition.KPartition(in, 7, partition.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var excess float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		un, err := partition.UniformK(in, 7, partition.Options{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		excess = un.Energy - dp.Energy
-	}
-	b.ReportMetric(excess, "energy-excess")
-}
-
-// BenchmarkAblationCosineSimilarity times the paper's Eq. (3) measure.
-func BenchmarkAblationCosineSimilarity(b *testing.B) {
-	in := randomInput(2, 3)
-	u, v := in.Features[0], in.Features[1]
-	w := []float64{1, 1, 1, 1, 1, 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		partition.Similarity(u, v, w)
-	}
-}
-
-// BenchmarkAblationL1Similarity times the L1 alternative and, as a side
-// metric, the cut disagreement it causes against the cosine partition.
-func BenchmarkAblationL1Similarity(b *testing.B) {
-	in := randomInput(2, 3)
-	u, v := in.Features[0], in.Features[1]
-	w := []float64{1, 1, 1, 1, 1, 1}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		partition.L1Similarity(u, v, w)
-	}
-	b.StopTimer()
-	big := randomInput(400, 4)
-	cos, err := partition.Optimal(big, partition.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	l1, err := partition.Optimal(big, partition.Options{SimilarityFunc: partition.L1Similarity})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var disagree float64
-	for i := range cos.Cuts {
-		if cos.Cuts[i] != l1.Cuts[i] {
-			disagree++
-		}
-	}
-	b.ReportMetric(disagree/float64(len(cos.Cuts))*100, "cut-disagree%")
-}
-
 // BenchmarkAblationGlobalMean compares feature selection with the
 // historical feature map against the global-mean-only baseline, reporting
 // how many more features the crude baseline flags (over-selection).
@@ -323,14 +252,14 @@ func BenchmarkAblationGlobalMean(b *testing.B) {
 			if err != nil {
 				continue
 			}
-			withMap += float64(len(sum.FeatureKeys()))
+			withMap += float64(len(stmaker.FeatureKeys(sum)))
 			// The baseline summarizer selects against the corpus-wide mean
 			// for every transition by pretending no edge is known.
 			sumG, err := baselineSummarizer(b, w).SummarizeK(trip.Raw, 3)
 			if err != nil {
 				continue
 			}
-			globalOnly += float64(len(sumG.FeatureKeys()))
+			globalOnly += float64(len(stmaker.FeatureKeys(sumG)))
 		}
 	}
 	b.ReportMetric(globalOnly-withMap, "extra-selections")

@@ -5,8 +5,9 @@
 // docs/OBSERVABILITY.md, (lat, lng) coordinate-order discipline,
 // no exact floating-point comparison, context plumbing rules, sync.Pool
 // Get/Put pairing, Model immutability (modelmut), pooled-scratch escape
-// (poolescape), model-cell publish discipline (atomiccell), and the
-// sentinel-error/status taxonomy against docs/API.md (statusmap). See
+// (poolescape), model-cell publish discipline (atomiccell), the
+// sentinel-error/status taxonomy against docs/API.md (statusmap), and no
+// internal/ function that only tests call (testonly). See
 // docs/STATIC_ANALYSIS.md.
 //
 // Exit status: 0 clean, 1 findings, 2 the module could not be loaded.

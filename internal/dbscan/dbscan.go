@@ -107,14 +107,3 @@ func Centroids(points []geo.Point, r Result) []geo.Point {
 	}
 	return out
 }
-
-// ClusterSizes returns the number of points in each cluster.
-func ClusterSizes(r Result) []int {
-	sizes := make([]int, r.NumClusters)
-	for _, lbl := range r.Labels {
-		if lbl != Noise {
-			sizes[lbl]++
-		}
-	}
-	return sizes
-}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -28,6 +29,34 @@ func testWorld(t *testing.T) *World {
 		t.Fatal(worldErr)
 	}
 	return sharedW
+}
+
+// ffColumn returns the FF series of one feature across a figure's rows,
+// or nil for a key the figure does not carry.
+func ffColumn(keys []string, rows [][]float64, key string) []float64 {
+	j := slices.Index(keys, key)
+	if j < 0 {
+		return nil
+	}
+	col := make([]float64, len(rows))
+	for i, row := range rows {
+		col[i] = row[j]
+	}
+	return col
+}
+
+// dayNight averages a Fig. 8 column (twelve two-hour buckets) over the
+// daytime buckets, 6:00–18:00, and over the night buckets: the headline
+// contrast of Fig. 8.
+func dayNight(col []float64) (day, night float64) {
+	for b, ff := range col {
+		if h := 2 * b; h >= 6 && h < 18 {
+			day += ff
+		} else {
+			night += ff
+		}
+	}
+	return day / 6, night / 6
 }
 
 func TestNewWorld(t *testing.T) {
@@ -113,7 +142,7 @@ func TestFeatureFrequencyByTime(t *testing.T) {
 	// The paper's headline contrast: daytime FF conspicuously above night
 	// for the speed and stay features.
 	for _, key := range []string{feature.KeySpeed, feature.KeyStayPoints} {
-		day, night := res.DaytimeVsNight(key)
+		day, night := dayNight(ffColumn(res.Keys, res.FF[:], key))
 		if day <= night {
 			t.Errorf("%s: day FF %.3f should exceed night FF %.3f", key, day, night)
 		}
@@ -168,16 +197,13 @@ func TestFeatureWeightSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	spe := res.ColumnFF(feature.KeySpeed)
+	spe := ffColumn(res.Keys, res.FF, feature.KeySpeed)
 	if len(spe) != 4 {
 		t.Fatalf("sweep rows = %d", len(spe))
 	}
 	// Fig. 10(a): FF of Spe rises with its weight.
 	if !(spe[len(spe)-1] > spe[0]) {
 		t.Errorf("Spe FF should rise with weight: %v", spe)
-	}
-	if res.ColumnFF("nope") != nil {
-		t.Error("unknown column should be nil")
 	}
 	var buf bytes.Buffer
 	res.Format(&buf)

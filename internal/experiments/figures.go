@@ -61,29 +61,6 @@ func FeatureFrequencyByTime(w *World) (*TimeBucketsResult, error) {
 	return res, nil
 }
 
-// DaytimeVsNight returns the mean FF of the given feature over the daytime
-// buckets (6:00–18:00) and the night buckets, the headline contrast of
-// Fig. 8.
-func (r *TimeBucketsResult) DaytimeVsNight(key string) (day, night float64) {
-	j := indexOf(r.Keys, key)
-	if j < 0 {
-		return 0, 0
-	}
-	var daySum, nightSum float64
-	var dayN, nightN int
-	for b := 0; b < 12; b++ {
-		h := b * 2
-		if h >= 6 && h < 18 {
-			daySum += r.FF[b][j]
-			dayN++
-		} else {
-			nightSum += r.FF[b][j]
-			nightN++
-		}
-	}
-	return daySum / float64(dayN), nightSum / float64(nightN)
-}
-
 // Format writes the Fig. 8 series: one row per two-hour bucket.
 func (r *TimeBucketsResult) Format(out io.Writer) {
 	fmt.Fprintf(out, "Feature frequency by time of day (Fig. 8)\n")
@@ -235,19 +212,6 @@ func (r *SweepResult) Format(out io.Writer) {
 	}
 }
 
-// ColumnFF returns the FF series of one feature across the sweep settings.
-func (r *SweepResult) ColumnFF(key string) []float64 {
-	j := indexOf(r.Keys, key)
-	if j < 0 {
-		return nil
-	}
-	out := make([]float64, len(r.FF))
-	for i := range r.FF {
-		out[i] = r.FF[i][j]
-	}
-	return out
-}
-
 // sampleTrips returns the first n trips (the fleet order is already
 // random and seed-stable).
 func sampleTrips(trips []*simulate.Trip, n int) []*simulate.Trip {
@@ -255,13 +219,4 @@ func sampleTrips(trips []*simulate.Trip, n int) []*simulate.Trip {
 		n = len(trips)
 	}
 	return trips[:n]
-}
-
-func indexOf(keys []string, key string) int {
-	for i, k := range keys {
-		if k == key {
-			return i
-		}
-	}
-	return -1
 }

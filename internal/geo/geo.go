@@ -161,61 +161,3 @@ func PointSegmentDistance(p, a, b Point) (dist, t float64) {
 	dx, dy := px-cx, py-cy
 	return math.Sqrt(dx*dx + dy*dy), t
 }
-
-// BBox is an axis-aligned geographic bounding box.
-type BBox struct {
-	MinLat, MinLng float64
-	MaxLat, MaxLng float64
-}
-
-// EmptyBBox returns a bounding box that contains nothing; extending it with
-// any point yields a box containing exactly that point.
-func EmptyBBox() BBox {
-	return BBox{
-		MinLat: math.Inf(1), MinLng: math.Inf(1),
-		MaxLat: math.Inf(-1), MaxLng: math.Inf(-1),
-	}
-}
-
-// Extend grows the box to include p.
-func (b *BBox) Extend(p Point) {
-	if p.Lat < b.MinLat {
-		b.MinLat = p.Lat
-	}
-	if p.Lat > b.MaxLat {
-		b.MaxLat = p.Lat
-	}
-	if p.Lng < b.MinLng {
-		b.MinLng = p.Lng
-	}
-	if p.Lng > b.MaxLng {
-		b.MaxLng = p.Lng
-	}
-}
-
-// Contains reports whether p lies inside the box (inclusive).
-func (b BBox) Contains(p Point) bool {
-	return p.Lat >= b.MinLat && p.Lat <= b.MaxLat &&
-		p.Lng >= b.MinLng && p.Lng <= b.MaxLng
-}
-
-// Buffer returns a copy of the box grown by approximately meters on every
-// side.
-func (b BBox) Buffer(meters float64) BBox {
-	dLat := rad2deg(meters / EarthRadiusMeters)
-	midLat := deg2rad((b.MinLat + b.MaxLat) / 2)
-	cos := math.Cos(midLat)
-	if cos < 1e-9 {
-		cos = 1e-9
-	}
-	dLng := rad2deg(meters / (EarthRadiusMeters * cos))
-	return BBox{
-		MinLat: b.MinLat - dLat, MaxLat: b.MaxLat + dLat,
-		MinLng: b.MinLng - dLng, MaxLng: b.MaxLng + dLng,
-	}
-}
-
-// Center returns the centre point of the box.
-func (b BBox) Center() Point {
-	return Point{Lat: (b.MinLat + b.MaxLat) / 2, Lng: (b.MinLng + b.MaxLng) / 2}
-}

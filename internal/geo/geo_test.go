@@ -189,43 +189,6 @@ func TestPointSegmentDistanceDegenerate(t *testing.T) {
 	}
 }
 
-func TestBBox(t *testing.T) {
-	b := EmptyBBox()
-	pts := []Point{{Lat: 1, Lng: 2}, {Lat: -1, Lng: 5}, {Lat: 3, Lng: -2}}
-	for _, p := range pts {
-		b.Extend(p)
-	}
-	if b.MinLat != -1 || b.MaxLat != 3 || b.MinLng != -2 || b.MaxLng != 5 {
-		t.Fatalf("bbox = %+v", b)
-	}
-	for _, p := range pts {
-		if !b.Contains(p) {
-			t.Errorf("bbox should contain %v", p)
-		}
-	}
-	if b.Contains(Point{Lat: 10, Lng: 0}) {
-		t.Errorf("bbox should not contain far point")
-	}
-	c := b.Center()
-	if !near(c.Lat, 1, 1e-9) || !near(c.Lng, 1.5, 1e-9) {
-		t.Errorf("center = %v", c)
-	}
-}
-
-func TestBBoxBuffer(t *testing.T) {
-	b := EmptyBBox()
-	b.Extend(Point{Lat: 39.9, Lng: 116.4})
-	grown := b.Buffer(1000)
-	outside := Destination(Point{Lat: 39.9, Lng: 116.4}, 0, 900)
-	if !grown.Contains(outside) {
-		t.Fatalf("buffered box should contain point 900m away")
-	}
-	far := Destination(Point{Lat: 39.9, Lng: 116.4}, 0, 2000)
-	if grown.Contains(far) {
-		t.Fatalf("buffered box should not contain point 2km away")
-	}
-}
-
 func TestPointValid(t *testing.T) {
 	if !(Point{Lat: 0, Lng: 0}).Valid() {
 		t.Error("origin should be valid")

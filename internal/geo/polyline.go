@@ -14,16 +14,6 @@ func (pl Polyline) Length() float64 {
 	return total
 }
 
-// BBox returns the bounding box of the polyline. The box of an empty
-// polyline is EmptyBBox.
-func (pl Polyline) BBox() BBox {
-	b := EmptyBBox()
-	for _, p := range pl {
-		b.Extend(p)
-	}
-	return b
-}
-
 // PointAt returns the point located dist metres from the start of the
 // polyline, measured along the line. Distances beyond the ends clamp to the
 // endpoints. An empty polyline returns the zero Point.

@@ -112,11 +112,3 @@ func TestPolylineResampleEdgeCases(t *testing.T) {
 		t.Errorf("zero-length polyline resample = %v", rs)
 	}
 }
-
-func TestPolylineBBox(t *testing.T) {
-	pl := Polyline{{Lat: 1, Lng: 2}, {Lat: 3, Lng: -1}}
-	b := pl.BBox()
-	if b.MinLat != 1 || b.MaxLat != 3 || b.MinLng != -1 || b.MaxLng != 2 {
-		t.Fatalf("BBox = %+v", b)
-	}
-}

@@ -87,11 +87,6 @@ func (p *Popular) Sequences() [][]int {
 	return out
 }
 
-// TransitionCount returns how many times a→b was observed.
-func (p *Popular) TransitionCount(a, b int) int {
-	return p.counts[[2]int{a, b}]
-}
-
 // routeItem is a priority-queue element for the max-likelihood search.
 type routeItem struct {
 	node int
@@ -281,9 +276,6 @@ func NewFeatureMap(dims int) *FeatureMap {
 // any Add.
 func (m *FeatureMap) MarkCategorical(j int) { m.categorical[j] = true }
 
-// Dims returns the feature dimensionality.
-func (m *FeatureMap) Dims() int { return m.dims }
-
 // Add records one observed feature vector for the transition a→b.
 func (m *FeatureMap) Add(a, b int, v []float64) {
 	if len(v) != m.dims {
@@ -319,24 +311,10 @@ func (m *FeatureMap) Add(a, b int, v []float64) {
 	m.n[key]++
 }
 
-// Regular returns the regular feature vector r of the transition a→b —
-// per-dimension mean (numeric) or mode (categorical) — or false when the
-// corpus never travelled it. Element j is RegularAt(a, b, j).
-func (m *FeatureMap) Regular(a, b int) ([]float64, bool) {
-	if !m.HasEdge(a, b) {
-		return nil, false
-	}
-	out := make([]float64, m.dims)
-	for j := range out {
-		out[j], _ = m.RegularAt(a, b, j)
-	}
-	return out, true
-}
-
-// RegularAt returns dimension j of the regular feature vector of the
-// transition a→b, or false when the corpus never travelled it. It
-// allocates nothing, so per-feature lookups on the serving path need
-// not build the whole vector.
+// RegularAt returns dimension j of the regular feature vector r of the
+// transition a→b — the mean (numeric) or mode (categorical) of the
+// values observed on it — or false when the corpus never travelled it.
+// It allocates nothing.
 func (m *FeatureMap) RegularAt(a, b, j int) (float64, bool) {
 	key := [2]int{a, b}
 	n := m.n[key]

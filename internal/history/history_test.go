@@ -119,8 +119,8 @@ func TestFeatureMapRegular(t *testing.T) {
 	m.Add(0, 1, []float64{10, 1})
 	m.Add(0, 1, []float64{20, 3})
 	m.Add(1, 2, []float64{50, 0})
-	if m.Dims() != 2 || m.NumEdges() != 2 {
-		t.Fatalf("dims=%d edges=%d", m.Dims(), m.NumEdges())
+	if m.dims != 2 || m.NumEdges() != 2 {
+		t.Fatalf("dims=%d edges=%d", m.dims, m.NumEdges())
 	}
 	r, ok := m.Regular(0, 1)
 	if !ok || math.Abs(r[0]-15) > 1e-9 || math.Abs(r[1]-2) > 1e-9 {
@@ -156,7 +156,7 @@ func TestRegularAtMatchesVectorArithmetic(t *testing.T) {
 	for a := 0; a < 7; a++ {
 		for b := 0; b < 7; b++ {
 			key := [2]int{a, b}
-			for j := 0; j < m.Dims(); j++ {
+			for j := 0; j < m.dims; j++ {
 				got, ok := m.RegularAt(a, b, j)
 				if ok != (m.n[key] > 0) {
 					t.Fatalf("RegularAt(%d, %d, %d) ok = %v with %d observations", a, b, j, ok, m.n[key])
@@ -416,7 +416,7 @@ func TestFeatureMapAggregateRoundTrip(t *testing.T) {
 	m.Add(0, 1, []float64{6, 1.0 / 3.0})
 	m.Add(1, 2, []float64{4, 7})
 
-	out := NewFeatureMap(m.Dims())
+	out := NewFeatureMap(m.dims)
 	for j, c := range m.CategoricalDims() {
 		if c {
 			out.MarkCategorical(j)
@@ -469,4 +469,22 @@ func TestAddAggregateRejectsMismatch(t *testing.T) {
 	if m.NumEdges() != 0 {
 		t.Error("failed AddAggregate mutated the map")
 	}
+}
+
+// TransitionCount returns how many times a→b was observed.
+func (p *Popular) TransitionCount(a, b int) int {
+	return p.counts[[2]int{a, b}]
+}
+
+// Regular returns the regular feature vector of the transition a→b, or
+// false when the corpus never travelled it: element j is RegularAt(a, b, j).
+func (m *FeatureMap) Regular(a, b int) ([]float64, bool) {
+	if !m.HasEdge(a, b) {
+		return nil, false
+	}
+	out := make([]float64, m.dims)
+	for j := range out {
+		out[j], _ = m.RegularAt(a, b, j)
+	}
+	return out, true
 }

@@ -547,6 +547,8 @@ func (ing *Ingester) updateWALGaugeLocked() {
 }
 
 // Stats snapshots the ingester for tests and probes.
+//
+//nolint:stmaker/testonly -- internal/server's crash test reads the replay and checkpoint counts through it
 func (ing *Ingester) Stats() Stats {
 	ing.mu.Lock()
 	defer ing.mu.Unlock()

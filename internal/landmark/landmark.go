@@ -179,11 +179,6 @@ func (s *Set) InferSignificance(numTravellers int, visits []hits.Visit, opts hit
 	}
 }
 
-// SetSignificance overwrites the significance of landmark id.
-func (s *Set) SetSignificance(id int, sig float64) {
-	s.landmarks[id].Significance = sig
-}
-
 // RankBySignificance returns all landmark ids sorted by descending
 // significance (ties broken by id for determinism).
 func (s *Set) RankBySignificance() []int {

@@ -109,7 +109,7 @@ func TestInferSignificance(t *testing.T) {
 
 func TestInferSignificanceNoVisits(t *testing.T) {
 	s := NewSet([]Landmark{{Name: "a", Pt: base}})
-	s.SetSignificance(0, 0.4)
+	s.landmarks[0].Significance = 0.4
 	s.InferSignificance(5, nil, hits.Options{})
 	if s.Get(0).Significance != 0.4 {
 		t.Fatalf("zero-visit inference should leave scores untouched, got %v", s.Get(0).Significance)
@@ -122,9 +122,9 @@ func TestSetSignificanceAndRankTies(t *testing.T) {
 		{Name: "b", Pt: geo.Destination(base, 90, 100)},
 		{Name: "c", Pt: geo.Destination(base, 90, 200)},
 	})
-	s.SetSignificance(0, 0.5)
-	s.SetSignificance(1, 0.9)
-	s.SetSignificance(2, 0.5)
+	s.landmarks[0].Significance = 0.5
+	s.landmarks[1].Significance = 0.9
+	s.landmarks[2].Significance = 0.5
 	ranked := s.RankBySignificance()
 	if ranked[0] != 1 {
 		t.Fatalf("ranked = %v", ranked)

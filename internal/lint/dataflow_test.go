@@ -13,7 +13,7 @@ import (
 // struct-field stores and reads, range loops, and receiver/&arg calls —
 // while value copies, fresh allocations, and scalar reads stay clean.
 func TestDataflow(t *testing.T) {
-	pkg, err := LoadDir(filepath.Join("testdata", "src", "flow"), "stmaker/internal/lintfixture/flow")
+	pkg, err := loadDir(filepath.Join("testdata", "src", "flow"), "stmaker/internal/lintfixture/flow")
 	if err != nil {
 		t.Fatal(err)
 	}

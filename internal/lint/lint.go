@@ -34,6 +34,9 @@
 //     atomic.Pointer cells only inside the designated publish helpers.
 //   - statusmap: two-way sync between sentinel errors referenced in
 //     internal/server and the status table in docs/API.md.
+//   - testonly: a function or method of an internal/ package that no
+//     non-test file of the loaded tree references outside its own body,
+//     unless an interface its receiver implements declares it.
 //
 // Diagnostics can be suppressed with a trailing (or preceding-line)
 // comment `//nolint:stmaker/<check>` — or `//lint:allow <check>`, the
@@ -103,13 +106,12 @@ type parsedPkg struct {
 // concurrent use (each stdlib package is still only type-checked once
 // and cached, so the serial section shrinks as the warm-up completes).
 type loader struct {
-	fset     *token.FileSet
-	src      types.Importer
-	parsed   map[string]*parsedPkg
-	built    map[string]*Package
-	building map[string]bool
-	mu       sync.Mutex
-	srcMu    sync.Mutex
+	fset   *token.FileSet
+	src    types.Importer
+	parsed map[string]*parsedPkg
+	built  map[string]*Package
+	mu     sync.Mutex
+	srcMu  sync.Mutex
 }
 
 // importerFunc adapts a function to types.Importer.
@@ -187,7 +189,7 @@ func (l *loader) buildAll() ([]*Package, error) {
 		}
 	}
 	// Cycle detection up front: the concurrent scheme below would
-	// deadlock on one, and the serial path reports it cleanly.
+	// deadlock on one.
 	for _, ip := range paths {
 		if _, err := l.checkCycle(ip, deps, make(map[string]int)); err != nil {
 			return nil, err
@@ -253,28 +255,11 @@ func (l *loader) checkCycle(ip string, deps map[string][]string, state map[strin
 	return true, nil
 }
 
-// LoadDir parses and type-checks the single package in dir under the
-// given import path. It exists for the golden-file tests, which check
-// fixture packages under testdata that Load deliberately skips.
-func LoadDir(dir, importPath string) (*Package, error) {
-	l := newLoader()
-	pp, err := l.parseDir(dir, importPath)
-	if err != nil {
-		return nil, err
-	}
-	if pp == nil {
-		return nil, fmt.Errorf("lint: no Go files in %s", dir)
-	}
-	l.parsed[importPath] = pp
-	return l.build(importPath)
-}
-
 func newLoader() *loader {
 	l := &loader{
-		fset:     token.NewFileSet(),
-		parsed:   make(map[string]*parsedPkg),
-		built:    make(map[string]*Package),
-		building: make(map[string]bool),
+		fset:   token.NewFileSet(),
+		parsed: make(map[string]*parsedPkg),
+		built:  make(map[string]*Package),
 	}
 	l.src = importer.ForCompiler(l.fset, "source", nil)
 	return l
@@ -304,31 +289,6 @@ func (l *loader) parseDir(dir, importPath string) (*parsedPkg, error) {
 		return nil, nil
 	}
 	return pp, nil
-}
-
-// build type-checks importPath (and, recursively, its module-internal
-// dependencies) exactly once. It is the serial path used by LoadDir;
-// buildAll schedules buildOne concurrently instead.
-func (l *loader) build(ip string) (*Package, error) {
-	if p, ok := l.built[ip]; ok {
-		return p, nil
-	}
-	if l.building[ip] {
-		return nil, fmt.Errorf("lint: import cycle through %s", ip)
-	}
-	l.building[ip] = true
-	defer delete(l.building, ip)
-
-	return l.typecheck(ip, importerFunc(func(path string) (*types.Package, error) {
-		if _, ok := l.parsed[path]; ok {
-			p, err := l.build(path)
-			if err != nil {
-				return nil, err
-			}
-			return p.Types, nil
-		}
-		return l.srcImport(path)
-	}))
 }
 
 // buildOne type-checks one package whose module-internal dependencies
@@ -508,7 +468,7 @@ type checker interface {
 // AllChecks lists every check name, in the order they run.
 func AllChecks() []string {
 	return []string{"metricnames", "latlng", "floateq", "ctxrule", "poolput",
-		"modelmut", "poolescape", "atomiccell", "statusmap"}
+		"modelmut", "poolescape", "atomiccell", "statusmap", "testonly"}
 }
 
 func newCheckers(opts Options) ([]checker, error) {
@@ -522,6 +482,8 @@ func newCheckers(opts Options) ([]checker, error) {
 		"poolescape":  poolescapeCheck{},
 		"atomiccell":  atomiccellCheck{},
 		"statusmap":   &statusmapCheck{apiPath: opts.APIDocPath, refs: make(map[string]*sentinelRef)},
+		"testonly": &testonlyCheck{used: make(map[*types.Func]bool),
+			ifaces: make(map[string][]*types.Interface), seen: make(map[*types.Package]bool)},
 	}
 	names := opts.Checks
 	if names == nil {
@@ -545,14 +507,8 @@ type CheckTiming struct {
 	Duration time.Duration
 }
 
-// Run analyses the packages and returns the surviving diagnostics sorted
-// by position.
-func Run(pkgs []*Package, opts Options) ([]Diagnostic, error) {
-	diags, _, err := RunTimed(pkgs, opts)
-	return diags, err
-}
-
-// RunTimed is Run plus per-check timings. Checks are independent of one
+// RunTimed analyses the packages and returns the surviving diagnostics
+// sorted by position, with per-check timings. Checks are independent of one
 // another, so each runs on its own goroutine with a private reporter;
 // the merged diagnostics are position-sorted, which keeps the output
 // deterministic regardless of scheduling.

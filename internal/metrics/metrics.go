@@ -117,9 +117,6 @@ func (h *Histogram) ObserveSince(t0 time.Time) {
 	h.Observe(time.Since(t0).Seconds())
 }
 
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 { return h.count.Load() }
-
 // Bucket is one cumulative histogram bucket in a snapshot: Count
 // observations were ≤ LE seconds.
 type Bucket struct {

@@ -5,8 +5,10 @@ import (
 	"testing"
 )
 
-func benchInput(n int) Input {
-	rng := rand.New(rand.NewSource(7))
+// randomInput builds a synthetic partition input of n segments with six
+// features each.
+func randomInput(n int, seed int64) Input {
+	rng := rand.New(rand.NewSource(seed))
 	in := Input{Features: make([][]float64, n), Significance: make([]float64, n)}
 	for i := 0; i < n; i++ {
 		in.Features[i] = []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}
@@ -16,7 +18,7 @@ func benchInput(n int) Input {
 }
 
 func BenchmarkSimilarity(b *testing.B) {
-	in := benchInput(2)
+	in := randomInput(2, 7)
 	w := []float64{1, 1, 1, 1, 1, 1}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -25,7 +27,7 @@ func BenchmarkSimilarity(b *testing.B) {
 }
 
 func BenchmarkOptimal100(b *testing.B) {
-	in := benchInput(100)
+	in := randomInput(100, 7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := Optimal(in, Options{}); err != nil {
@@ -35,7 +37,7 @@ func BenchmarkOptimal100(b *testing.B) {
 }
 
 func BenchmarkKPartition100x7(b *testing.B) {
-	in := benchInput(100)
+	in := randomInput(100, 7)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if _, err := KPartition(in, 7, Options{}); err != nil {

@@ -30,10 +30,6 @@ type Options struct {
 	// Weights are the per-feature weights w in registry order; nil means
 	// all 1.
 	Weights []float64
-	// SimilarityFunc overrides the segment-similarity measure used in the
-	// potential function; nil means Similarity (the paper's weighted
-	// cosine, Eq. 3). L1Similarity is provided as an ablation alternative.
-	SimilarityFunc func(u, v, w []float64) float64
 }
 
 func (o Options) withDefaults() Options {
@@ -134,9 +130,6 @@ type Part struct {
 	FirstSeg, LastSeg int
 }
 
-// Len returns the number of segments in the part.
-func (p Part) Len() int { return p.LastSeg - p.FirstSeg + 1 }
-
 // Result is a computed partition.
 type Result struct {
 	// Parts covers all segments contiguously and disjointly (Def. 5).
@@ -147,52 +140,12 @@ type Result struct {
 	Cuts []bool
 }
 
-// L1Similarity is an ablation alternative to the paper's cosine measure:
-// one minus the weighted mean absolute difference of the (normalized)
-// feature vectors, clamped to [0, 1].
-func L1Similarity(u, v, w []float64) float64 {
-	if len(u) != len(v) {
-		panic(fmt.Sprintf("partition: vector length mismatch %d vs %d", len(u), len(v)))
-	}
-	if len(u) == 0 {
-		return 1
-	}
-	var sum, wsum float64
-	for j := range u {
-		wj := 1.0
-		if w != nil {
-			wj = w[j]
-		}
-		d := u[j] - v[j]
-		if d < 0 {
-			d = -d
-		}
-		if d > 1 {
-			d = 1
-		}
-		sum += wj * d
-		wsum += wj
-	}
-	if wsum == 0 { //lint:allow floateq -- division-by-zero guard: only exact zero is unsafe
-		return 1
-	}
-	s := 1 - sum/wsum
-	if s < 0 {
-		return 0
-	}
-	return s
-}
-
 // similarities precomputes S(TS_{i-1}, TS_i) for i = 1..n-1.
 func similarities(in Input, opts Options) []float64 {
-	simFn := opts.SimilarityFunc
-	if simFn == nil {
-		simFn = Similarity
-	}
 	n := len(in.Features)
 	sims := make([]float64, n)
 	for i := 1; i < n; i++ {
-		sims[i] = simFn(in.Features[i-1], in.Features[i], opts.Weights)
+		sims[i] = Similarity(in.Features[i-1], in.Features[i], opts.Weights)
 	}
 	return sims
 }
@@ -297,81 +250,4 @@ func KPartition(in Input, k int, opts Options) (Result, error) {
 	}
 	res := cutsToResult(in, sims, opts.Ca, cuts)
 	return res, nil
-}
-
-// Energy computes the total potential of an arbitrary cut mask, for
-// comparing alternative partitioners (ablations).
-func Energy(in Input, cuts []bool, opts Options) (float64, error) {
-	if err := in.Validate(); err != nil {
-		return 0, err
-	}
-	if len(cuts) != len(in.Features) {
-		return 0, fmt.Errorf("partition: cuts length %d, want %d", len(cuts), len(in.Features))
-	}
-	opts = opts.withDefaults()
-	sims := similarities(in, opts)
-	return cutsToResult(in, sims, opts.Ca, cuts).Energy, nil
-}
-
-// GreedyK is a baseline k-partitioner used for ablation: it ranks interior
-// boundaries by cut benefit (Ca·li.s − S) and greedily takes the top k−1.
-// Because Eq. (2)'s potential is separable per boundary, GreedyK reaches
-// the same energy as the DP; it serves as a cross-check and a speed
-// comparison point.
-func GreedyK(in Input, k int, opts Options) (Result, error) {
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
-	n := len(in.Features)
-	if k < 1 || k > n {
-		return Result{}, fmt.Errorf("partition: k = %d out of range [1, %d]", k, n)
-	}
-	opts = opts.withDefaults()
-	sims := similarities(in, opts)
-	type cand struct {
-		i       int
-		benefit float64
-	}
-	cands := make([]cand, 0, n-1)
-	for i := 1; i < n; i++ {
-		cands = append(cands, cand{i: i, benefit: opts.Ca*in.Significance[i] - sims[i]})
-	}
-	// Selection sort of the top k−1 by benefit keeps this dependency-free
-	// and deterministic (ties broken by position).
-	cuts := make([]bool, n)
-	for c := 0; c < k-1; c++ {
-		best := -1
-		for j, cd := range cands {
-			if cuts[cd.i] {
-				continue
-			}
-			if best < 0 || cd.benefit > cands[best].benefit ||
-				(cd.benefit == cands[best].benefit && cd.i < cands[best].i) { //lint:allow floateq -- greedy tie-break: exact equality picks the earlier boundary
-				best = j
-			}
-		}
-		cuts[cands[best].i] = true
-	}
-	return cutsToResult(in, sims, opts.Ca, cuts), nil
-}
-
-// UniformK is the naive ablation baseline: it ignores features and
-// significance entirely and cuts the segment chain into k runs of equal
-// length. Its energy is generally worse than the optimum, quantifying the
-// value of feature-aware partitioning.
-func UniformK(in Input, k int, opts Options) (Result, error) {
-	if err := in.Validate(); err != nil {
-		return Result{}, err
-	}
-	n := len(in.Features)
-	if k < 1 || k > n {
-		return Result{}, fmt.Errorf("partition: k = %d out of range [1, %d]", k, n)
-	}
-	opts = opts.withDefaults()
-	sims := similarities(in, opts)
-	cuts := make([]bool, n)
-	for c := 1; c < k; c++ {
-		cuts[c*n/k] = true
-	}
-	return cutsToResult(in, sims, opts.Ca, cuts), nil
 }

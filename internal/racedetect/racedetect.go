@@ -6,6 +6,8 @@ package racedetect
 import "runtime/debug"
 
 // Enabled reports whether the binary was built with -race.
+//
+//nolint:stmaker/testonly -- the allocation guards of several packages' tests call it
 func Enabled() bool {
 	info, ok := debug.ReadBuildInfo()
 	if !ok {

@@ -419,6 +419,8 @@ func (r *Registry) Status() []RegionStatus {
 }
 
 // Reloading reports whether a reload of the region is in flight.
+//
+//nolint:stmaker/testonly -- internal/server's reload tests wait on it to see a reload finish
 func (r *Registry) Reloading(name string) bool {
 	c, ok := r.cells[name]
 	return ok && c.reloading.Load()

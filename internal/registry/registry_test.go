@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -38,7 +39,6 @@ type region struct {
 	name        string
 	trip        *traj.Raw
 	wantSummary string
-	bbox        geo.BBox
 }
 
 // originBeijing and originShanghai anchor the two test cities far
@@ -102,14 +102,16 @@ func buildRegion(t testing.TB, dir, name string, origin geo.Point, seed int64, h
 
 	// The manifest's bbox is the landmark extent plus a margin, so every
 	// trip sample of this city routes here and nowhere else.
-	bbox := geo.EmptyBBox()
+	minLat, minLng := math.Inf(1), math.Inf(1)
+	maxLat, maxLng := math.Inf(-1), math.Inf(-1)
 	for _, lm := range city.Landmarks.All() {
-		bbox.Extend(lm.Pt)
+		minLat, maxLat = min(minLat, lm.Pt.Lat), max(maxLat, lm.Pt.Lat)
+		minLng, maxLng = min(minLng, lm.Pt.Lng), max(maxLng, lm.Pt.Lng)
 	}
-	bbox = bbox.Buffer(2000)
+	const margin = 0.02 // degrees, about 2 km
 	manifest := fmt.Sprintf(
 		`{"region":%q,"bbox":{"minLat":%g,"minLng":%g,"maxLat":%g,"maxLng":%g}}`,
-		name, bbox.MinLat, bbox.MinLng, bbox.MaxLat, bbox.MaxLng)
+		name, minLat-margin, minLng-margin, maxLat+margin, maxLng+margin)
 	if err := os.WriteFile(filepath.Join(sub, "region.json"), []byte(manifest), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +122,7 @@ func buildRegion(t testing.TB, dir, name string, origin geo.Point, seed int64, h
 	if err != nil {
 		t.Fatal(err)
 	}
-	return region{name: name, trip: trip, wantSummary: sum.Text, bbox: bbox}
+	return region{name: name, trip: trip, wantSummary: sum.Text}
 }
 
 // twoRegionDir lays out a -model-dir with two disjoint cities. The

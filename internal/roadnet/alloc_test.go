@@ -41,8 +41,8 @@ func TestNearestEdgeAllocs(t *testing.T) {
 }
 
 // TestHMMCandidatesAllocs guards the HMM candidate query: warm, the
-// band walk and the tie fall-through both run in the step scratch and
-// allocate nothing.
+// band walk and the tie path both run in the step scratch and allocate
+// nothing.
 func TestHMMCandidatesAllocs(t *testing.T) {
 	g := cornerTieGraph(t, 8)
 	m := NewMatcher(g)

@@ -99,21 +99,6 @@ type Neighbor struct {
 	Reverse bool
 }
 
-// Neighbors returns the traversable arcs leaving node n.
-func (g *Graph) Neighbors(n NodeID) []Neighbor {
-	arcs := g.out[n]
-	out := make([]Neighbor, len(arcs))
-	for i, a := range arcs {
-		e := &g.edges[a.edge]
-		to := e.To
-		if a.reverse {
-			to = e.From
-		}
-		out[i] = Neighbor{Edge: e, To: to, Reverse: a.reverse}
-	}
-	return out
-}
-
 // EdgeBetween returns the first edge traversable from a to b directly, or
 // nil if none exists.
 func (g *Graph) EdgeBetween(a, b NodeID) *Edge {

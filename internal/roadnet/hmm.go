@@ -2,10 +2,12 @@ package roadnet
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
 	"stmaker/internal/geo"
+	"stmaker/internal/spatial"
 )
 
 // HMMOptions configures the hidden-Markov-model map matcher, which follows
@@ -404,33 +406,6 @@ func (h *HMMMatcher) networkDistance(sc *stepScratch, a, b Match) float64 {
 	return best
 }
 
-// appendCandidates appends up to max distinct edges within radius of p
-// to dst, nearest first, querying the index through sc. Edges at equal
-// distance keep the order in which their nearest samples were met.
-func (m *Matcher) appendCandidates(dst []Match, sc *matchScratch, p geo.Point, radius float64, max int) []Match {
-	n0 := len(dst)
-	m.query(sc, p, radius+matchSampleSpacing)
-	for _, h := range sc.hits {
-		if !sc.firstSeen(h.ID) {
-			continue
-		}
-		e := m.g.Edge(EdgeID(h.ID))
-		d, seg, t := e.Geometry.NearestPoint(p)
-		if d > radius {
-			continue
-		}
-		dst = append(dst, Match{Edge: e, Distance: d, Along: e.Geometry.DistanceAlong(seg, t)})
-	}
-	// Insertion sort by distance (candidate lists are tiny).
-	out := dst[n0:]
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Distance < out[j-1].Distance; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return dst[:n0+min(len(out), max)]
-}
-
 // bandEdge is an edge that the band walk of appendBandCandidates has
 // met: its distance from the fix and the projection NearestPoint found,
 // and whether it is a candidate, that is within the radius with a
@@ -443,20 +418,16 @@ type bandEdge struct {
 	cand bool
 }
 
-// appendBandCandidates appends what appendCandidates appends for the
-// same arguments, from one walk of the index's prefilter band instead
-// of measuring and sorting every sample within radius +
-// matchSampleSpacing. It measures each edge of the band once with
-// NearestPoint, and takes the haversine of an edge's samples only while
-// the edge lies within radius and none of its samples has yet been
-// found within radius + matchSampleSpacing. The band holds every sample
-// that appendCandidates' query measures, and the haversines are the
-// same calls, so the candidates and their Distance and Along bits are
-// appendCandidates'. Nearest first is also its order, as long as no two
-// candidates lie at exactly the same distance. When two do,
-// appendCandidates runs instead: it puts the tied edge whose sample its
-// sorted hits meet first ahead, and only that sort can say which one
-// that is.
+// appendBandCandidates appends up to max distinct edges within radius
+// of p to dst, nearest first, from one walk of the index's prefilter
+// band. An edge is a candidate when it lies within radius and one of its
+// samples lies within radius + matchSampleSpacing, and candidates at
+// equal distance keep the order in which the full query (AppendWithin
+// at that reach, sorted nearest first) meets their nearest samples. The
+// walk measures each edge of the band once with NearestPoint, and takes
+// the haversine of an edge's samples only while the edge lies within
+// radius and none of its samples has yet been found within reach. When
+// two candidates tie exactly, orderTies orders them.
 func (m *Matcher) appendBandCandidates(dst []Match, sc *matchScratch, p geo.Point, radius float64, max int) []Match {
 	reach := radius + matchSampleSpacing
 	sc.band = m.ix.AppendBand(sc.band[:0], p, reach)
@@ -472,20 +443,17 @@ func (m *Matcher) appendBandCandidates(dst []Match, sc *matchScratch, p geo.Poin
 			e.cand = true
 		}
 	}
-	// Insertion sort of the candidates by distance (the lists are tiny).
 	cands := sc.edges[:0]
 	for _, e := range sc.edges {
-		if !e.cand {
-			continue
-		}
-		cands = append(cands, e)
-		for j := len(cands) - 1; j > 0 && cands[j].d < cands[j-1].d; j-- {
-			cands[j], cands[j-1] = cands[j-1], cands[j]
+		if e.cand {
+			cands = append(cands, e)
 		}
 	}
+	sortBandEdges(cands)
 	for i := 1; i < len(cands); i++ {
 		if !(cands[i-1].d < cands[i].d) {
-			return m.appendCandidates(dst, sc, p, radius, max)
+			m.orderTies(sc, cands, p, reach)
+			break
 		}
 	}
 	for _, c := range cands[:min(len(cands), max)] {
@@ -493,6 +461,46 @@ func (m *Matcher) appendBandCandidates(dst []Match, sc *matchScratch, p geo.Poin
 		dst = append(dst, Match{Edge: e, Distance: c.d, Along: e.Geometry.DistanceAlong(c.seg, c.t)})
 	}
 	return dst
+}
+
+// orderTies reorders distance-sorted candidates of which two lie at
+// exactly the same distance. The full query (AppendWithin at reach,
+// nearest first) puts first the tied edge whose sample its sorted hits
+// meet first, and only the sort can say which one that is. So orderTies
+// measures the band's samples, keeps those within reach and sorts them
+// with AppendWithin's comparator: by AppendBand's contract the band
+// lists them in the order of AppendWithin's walk, so this is the full
+// query's order. It then puts the candidates in the order of their
+// first hits and sorts them by distance again.
+func (m *Matcher) orderTies(sc *matchScratch, cands []bandEdge, p geo.Point, reach float64) {
+	sc.hits = sc.hits[:0]
+	for _, it := range sc.band {
+		if d := geo.Distance(p, it.Point); d <= reach {
+			sc.hits = append(sc.hits, spatial.Result{ID: it.ID, Point: it.Point, Distance: d})
+		}
+	}
+	slices.SortFunc(sc.hits, spatial.ByDistance)
+	placed := 0
+	for _, h := range sc.hits {
+		for i := placed; i < len(cands); i++ {
+			if cands[i].id == h.ID {
+				cands[placed], cands[i] = cands[i], cands[placed]
+				placed++
+				break
+			}
+		}
+	}
+	sortBandEdges(cands)
+}
+
+// sortBandEdges sorts edges by distance, keeping the order of equal ones:
+// an insertion sort, as the lists are tiny.
+func sortBandEdges(es []bandEdge) {
+	for i := 1; i < len(es); i++ {
+		for j := i; j > 0 && es[j].d < es[j-1].d; j-- {
+			es[j], es[j-1] = es[j-1], es[j]
+		}
+	}
 }
 
 // bandEdge returns the band walk's record of edge id, or nil before the

@@ -9,6 +9,35 @@ import (
 	"stmaker/internal/spatial"
 )
 
+// appendCandidates is the full candidate query that appendBandCandidates
+// must reproduce: it appends up to max distinct edges within radius of p
+// to dst, nearest first, querying the index through sc. Edges at equal
+// distance keep the order in which their nearest samples were met. The
+// tests and the reference decoder use it as the oracle.
+func (m *Matcher) appendCandidates(dst []Match, sc *matchScratch, p geo.Point, radius float64, max int) []Match {
+	n0 := len(dst)
+	m.query(sc, p, radius+matchSampleSpacing)
+	for _, h := range sc.hits {
+		if !sc.firstSeen(h.ID) {
+			continue
+		}
+		e := m.g.Edge(EdgeID(h.ID))
+		d, seg, t := e.Geometry.NearestPoint(p)
+		if d > radius {
+			continue
+		}
+		dst = append(dst, Match{Edge: e, Distance: d, Along: e.Geometry.DistanceAlong(seg, t)})
+	}
+	// Insertion sort by distance (candidate lists are tiny).
+	out := dst[n0:]
+	for i := 1; i < len(out); i++ {
+		for j := i; j > 0 && out[j].Distance < out[j-1].Distance; j-- {
+			out[j], out[j-1] = out[j-1], out[j]
+		}
+	}
+	return dst[:n0+min(len(out), max)]
+}
+
 // requireSameCandidates fails unless the band query's candidates equal
 // the full query's: the same length, and at each position the same
 // edge with the same Distance and Along bits.
@@ -31,8 +60,9 @@ func requireSameCandidates(t *testing.T, got, want []Match, label string) {
 // on the corner fixture of TestNearestEdgeHintTies. Every fix ties
 // exactly between the two corner edges, and the full query has more
 // than 12 hits, so pdqsort, not the walk, orders the tied samples. A
-// band query that ordered the tie itself would put the east edge first
-// on every fix, where the full query puts the north edge first on many.
+// band query that left the tie in walk order would put the east edge
+// first on every fix, where the full query puts the north edge first
+// on many.
 func TestHMMCandidatesTieFallThrough(t *testing.T) {
 	g := cornerTieGraph(t, 8)
 	m := NewMatcher(g)
@@ -63,7 +93,7 @@ func TestHMMCandidatesTieFallThrough(t *testing.T) {
 	// first, so a tie decided by the walk differs from the full query
 	// whenever the north edge comes first there.
 	if northWins == 0 {
-		t.Fatal("the full query put the east corner edge first on every fix; the fixture no longer tests the fall-through")
+		t.Fatal("the full query put the east corner edge first on every fix; the fixture no longer tests the tie path")
 	}
 }
 

@@ -127,3 +127,7 @@ func (r referenceHMM) networkDistance(a, b Match) float64 {
 	}
 	return best
 }
+
+// Point returns the matched position on the edge: the projection of the
+// GPS sample onto the edge geometry, Along metres from the From endpoint.
+func (m Match) Point() geo.Point { return m.Edge.Geometry.PointAt(m.Along) }

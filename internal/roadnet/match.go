@@ -73,10 +73,6 @@ type Match struct {
 	Along float64
 }
 
-// Point returns the matched position on the edge: the projection of the
-// GPS sample onto the edge geometry, Along metres from the From endpoint.
-func (m Match) Point() geo.Point { return m.Edge.Geometry.PointAt(m.Along) }
-
 // NearestEdge returns the edge closest to p within maxDist metres. The
 // boolean is false when no edge qualifies.
 //

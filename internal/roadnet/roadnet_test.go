@@ -292,3 +292,18 @@ func TestEdgeSpeedLimitOverride(t *testing.T) {
 		t.Errorf("travel time = %v, want %v", e.TravelTimeSeconds(), want)
 	}
 }
+
+// Neighbors returns the traversable arcs leaving node n.
+func (g *Graph) Neighbors(n NodeID) []Neighbor {
+	arcs := g.out[n]
+	out := make([]Neighbor, len(arcs))
+	for i, a := range arcs {
+		e := &g.edges[a.edge]
+		to := e.To
+		if a.reverse {
+			to = e.From
+		}
+		out[i] = Neighbor{Edge: e, To: to, Reverse: a.reverse}
+	}
+	return out
+}

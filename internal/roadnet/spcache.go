@@ -66,7 +66,7 @@ const DefaultSPCacheEntries = 1 << 16
 const spProbe = 8
 
 // SPCacheOptions configures NewSPCache. Counter fields may be nil; the
-// cache then keeps private counters, still readable through Stats.
+// cache then keeps private counters.
 type SPCacheOptions struct {
 	// Capacity is the number of table slots, rounded down to a power of
 	// two (0 uses DefaultSPCacheEntries; minimum one slot).
@@ -104,30 +104,6 @@ func NewSPCache(opts SPCacheOptions) *SPCache {
 	return c
 }
 
-// SPCacheStats is a point-in-time read of the cache counters and size.
-type SPCacheStats struct {
-	Hits, Misses, Evictions int64
-	Entries                 int
-}
-
-// Stats reads the counters and counts the slots ever written.
-func (c *SPCache) Stats() SPCacheStats {
-	if c == nil {
-		return SPCacheStats{}
-	}
-	s := SPCacheStats{
-		Hits:      c.hits.Value(),
-		Misses:    c.misses.Value(),
-		Evictions: c.evictions.Value(),
-	}
-	for i := range c.slots {
-		if c.slots[i].seq.Load() != 0 {
-			s.Entries++
-		}
-	}
-	return s
-}
-
 // makeSPKey packs a (src, dst) node pair into one key.
 func makeSPKey(src, dst NodeID) uint64 {
 	return uint64(uint32(src))<<32 | uint64(uint32(dst))
@@ -147,28 +123,13 @@ func (c *SPCache) slot(home uint64, i int) *spSlot {
 	return &c.slots[(home+uint64(i))&uint64(len(c.slots)-1)]
 }
 
-// Lookup returns the cached shortest distance from src to dst, if the
+// lookup returns the cached shortest distance from src to dst, if the
 // cache can answer for the given search bound. On a hit, dist is either
 // the exact distance (possibly greater than bound — callers enforce their
 // own bound) or +Inf, meaning "known unreached within a bound >= bound".
-// Lookup counts its hit or miss; the HMM matcher reads without counting
-// and adds its counts once per MatchPoints call. A nil cache always
-// misses without counting.
-func (c *SPCache) Lookup(src, dst NodeID, bound float64) (dist float64, ok bool) {
-	if c == nil {
-		return 0, false
-	}
-	dist, ok = c.lookup(src, dst, bound)
-	if ok {
-		c.hits.Inc()
-	} else {
-		c.misses.Inc()
-	}
-	return dist, ok
-}
-
-// lookup is Lookup without the counting: it loads and compares, and
-// writes nothing.
+// It loads and compares and writes nothing, not even a hit count: the
+// HMM matcher adds its counts once per MatchPoints call. A nil cache
+// always misses.
 func (c *SPCache) lookup(src, dst NodeID, bound float64) (float64, bool) {
 	if c == nil {
 		return 0, false

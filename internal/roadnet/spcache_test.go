@@ -347,3 +347,42 @@ func BenchmarkSPCacheLookupParallel(b *testing.B) {
 		}
 	})
 }
+
+// SPCacheStats is a point-in-time read of the cache counters and size.
+type SPCacheStats struct {
+	Hits, Misses, Evictions int64
+	Entries                 int
+}
+
+// Stats reads the counters and counts the slots ever written.
+func (c *SPCache) Stats() SPCacheStats {
+	if c == nil {
+		return SPCacheStats{}
+	}
+	s := SPCacheStats{
+		Hits:      c.hits.Value(),
+		Misses:    c.misses.Value(),
+		Evictions: c.evictions.Value(),
+	}
+	for i := range c.slots {
+		if c.slots[i].seq.Load() != 0 {
+			s.Entries++
+		}
+	}
+	return s
+}
+
+// Lookup is lookup plus the hit or miss count. A nil cache always misses
+// without counting.
+func (c *SPCache) Lookup(src, dst NodeID, bound float64) (dist float64, ok bool) {
+	if c == nil {
+		return 0, false
+	}
+	dist, ok = c.lookup(src, dst, bound)
+	if ok {
+		c.hits.Inc()
+	} else {
+		c.misses.Inc()
+	}
+	return dist, ok
+}

@@ -126,7 +126,7 @@ func TestPanicRecoveredAndProcessSurvives(t *testing.T) {
 		t.Errorf("summarize after panic: %d (%s)", rec.Code, rec.Body.String())
 	}
 
-	snap := srv.Metrics().Snapshot()
+	snap := srv.mx.Snapshot()
 	if got := snap.Counters[MetricHTTPPanics]; got != 1 {
 		t.Errorf("%s = %d, want 1", MetricHTTPPanics, got)
 	}
@@ -185,7 +185,7 @@ func TestMaxInFlightShedsWith503(t *testing.T) {
 
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	srv.Handle("/slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv.mux.Handle("/slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		entered <- struct{}{}
 		<-release
 		w.WriteHeader(http.StatusOK)
@@ -221,7 +221,7 @@ func TestMaxInFlightShedsWith503(t *testing.T) {
 	if rec := do(srv, http.MethodPost, "/summarize", summarizeBody(t, trip)); rec.Code != http.StatusOK {
 		t.Errorf("post-release summarize: %d (%s)", rec.Code, rec.Body.String())
 	}
-	if got := srv.Metrics().Snapshot().Counters[MetricHTTPShed]; got != 1 {
+	if got := srv.mx.Snapshot().Counters[MetricHTTPShed]; got != 1 {
 		t.Errorf("%s = %d, want 1", MetricHTTPShed, got)
 	}
 }
@@ -256,7 +256,7 @@ func TestSanitizeRepairsThroughServer(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatalf("sanitizing server rejected repairable input: %d (%s)", rec.Code, rec.Body.String())
 	}
-	snap := srv.Metrics().Snapshot()
+	snap := srv.mx.Snapshot()
 	if got := snap.Counters[stmaker.MetricSanitizeRepairs]; got == 0 {
 		t.Errorf("%s = 0 after repair", stmaker.MetricSanitizeRepairs)
 	}
@@ -275,11 +275,11 @@ func TestReadyzAndMethodChecks(t *testing.T) {
 	if rec := do(srv, http.MethodGet, "/readyz", nil); rec.Code != http.StatusOK {
 		t.Errorf("readyz = %d, want 200", rec.Code)
 	}
-	srv.SetReady(false)
+	srv.ready.Store(false)
 	if rec := do(srv, http.MethodGet, "/readyz", nil); rec.Code != http.StatusServiceUnavailable {
 		t.Errorf("draining readyz = %d, want 503", rec.Code)
 	}
-	srv.SetReady(true)
+	srv.ready.Store(true)
 
 	for _, path := range []string{"/healthz", "/readyz", "/metrics"} {
 		if rec := do(srv, http.MethodPost, path, nil); rec.Code != http.StatusMethodNotAllowed {
@@ -326,7 +326,7 @@ func TestSIGTERMDrainsInFlightRequests(t *testing.T) {
 	srv, _ := hardenedServer(t, nil, nil, Options{})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	srv.Handle("/slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	srv.mux.Handle("/slow", http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		entered <- struct{}{}
 		<-release
 		fmt.Fprintln(w, "survived the drain")

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -84,14 +85,16 @@ func writeTestRegion(dir, name string, origin geo.Point, seed int64) (testRegion
 	if err := mf.Close(); err != nil {
 		return testRegion{}, err
 	}
-	bbox := geo.EmptyBBox()
+	minLat, minLng := math.Inf(1), math.Inf(1)
+	maxLat, maxLng := math.Inf(-1), math.Inf(-1)
 	for _, lm := range city.Landmarks.All() {
-		bbox.Extend(lm.Pt)
+		minLat, maxLat = min(minLat, lm.Pt.Lat), max(maxLat, lm.Pt.Lat)
+		minLng, maxLng = min(minLng, lm.Pt.Lng), max(maxLng, lm.Pt.Lng)
 	}
-	bbox = bbox.Buffer(2000)
+	const margin = 0.02 // degrees, about 2 km
 	manifest := fmt.Sprintf(
 		`{"region":%q,"bbox":{"minLat":%g,"minLng":%g,"maxLat":%g,"maxLng":%g}}`,
-		name, bbox.MinLat, bbox.MinLng, bbox.MaxLat, bbox.MaxLng)
+		name, minLat-margin, minLng-margin, maxLat+margin, maxLng+margin)
 	if err := os.WriteFile(filepath.Join(sub, "region.json"), []byte(manifest), 0o644); err != nil {
 		return testRegion{}, err
 	}

@@ -178,7 +178,7 @@ func TestReloadFailureKeepsServing(t *testing.T) {
 	if !triggerReload(t, srv) {
 		t.Fatal("trigger did not start a reload")
 	}
-	failures := srv.Metrics().Counter(registry.MetricRegionLoadFailures)
+	failures := srv.mx.Counter(registry.MetricRegionLoadFailures)
 	waitFor(t, "failure counted", func() bool { return failures.Value() == 1 })
 	if v := s.Model().Version(); v != v0 {
 		t.Errorf("failed reload changed model version %d -> %d", v0, v)

@@ -205,22 +205,6 @@ func NewMultiRegion(reg *registry.Registry, opts Options) (*Server, error) {
 // (Service.Run) alongside the listener and closes it after drain.
 func (srv *Server) Ingest() *ingest.Service { return srv.ingest }
 
-// Handle mounts an additional handler behind the server's full middleware
-// chain (metrics, logging, panic recovery, load shedding). It must be
-// called before the server starts receiving traffic; embedders use it to
-// co-host auxiliary routes with the summarization endpoint.
-func (srv *Server) Handle(pattern string, h http.Handler) {
-	srv.mux.Handle(pattern, h)
-}
-
-// SetReady flips the /readyz state: false makes the endpoint return 503
-// so load balancers drain this instance; Serve does this automatically
-// on shutdown.
-func (srv *Server) SetReady(ready bool) { srv.ready.Store(ready) }
-
-// Metrics exposes the registry backing GET /metrics.
-func (srv *Server) Metrics() *metrics.Registry { return srv.mx }
-
 // ServeHTTP implements http.Handler. Every request passes through the
 // observation middleware.
 func (srv *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
@@ -281,9 +265,8 @@ func (srv *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
 // one region holding a published model, 503 before the first model
 // lands (a warm-starting instance that hasn't finished
 // Train/LoadModel, or a multi-region instance that hasn't loaded any
-// region yet) and 503 again once a drain has begun (or SetReady(false)
-// was called), so load balancers only route work here when it can
-// actually be answered.
+// region yet) and 503 again once a drain has begun, so load balancers
+// only route work here when it can actually be answered.
 // With ?verbose=1 the plain-text probe becomes a JSON report carrying
 // every region's state (loaded/cold/failed) and serving model version,
 // so operators can see which city is degraded; the status code keeps

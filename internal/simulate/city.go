@@ -201,15 +201,6 @@ func NewCity(opts CityOptions) *City {
 	}
 }
 
-// NodeAt returns the intersection node at grid position (row, col).
-func (c *City) NodeAt(row, col int) roadnet.NodeID { return c.nodeAt[row][col] }
-
-// Rows returns the grid row count.
-func (c *City) Rows() int { return c.opts.Rows }
-
-// Cols returns the grid column count.
-func (c *City) Cols() int { return c.opts.Cols }
-
 // RandomNode returns a uniformly random intersection.
 func (c *City) RandomNode(rng *rand.Rand) roadnet.NodeID {
 	return c.nodeAt[rng.Intn(c.opts.Rows)][rng.Intn(c.opts.Cols)]

@@ -59,16 +59,6 @@ type Trip struct {
 	Start time.Time
 }
 
-// HasEvent reports whether the trip's ground truth contains the kind.
-func (t *Trip) HasEvent(kind EventKind) bool {
-	for _, e := range t.Truth {
-		if e.Kind == kind {
-			return true
-		}
-	}
-	return false
-}
-
 // FleetOptions configures the taxi-fleet generator.
 type FleetOptions struct {
 	// NumTrips is the number of trips to generate (default 200).

@@ -1,6 +1,7 @@
 package simulate
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"time"
@@ -44,7 +45,7 @@ func TestNewCityStructure(t *testing.T) {
 	if c.Landmarks.Len() <= 36 {
 		t.Fatalf("landmarks = %d, want intersections plus POI clusters", c.Landmarks.Len())
 	}
-	if c.Rows() != 6 || c.Cols() != 6 {
+	if c.opts.Rows != 6 || c.opts.Cols != 6 {
 		t.Fatal("dims wrong")
 	}
 }
@@ -107,6 +108,12 @@ func TestGenerateFleetBasics(t *testing.T) {
 	if len(trips) < 25 {
 		t.Fatalf("trips generated = %d, want most of 30", len(trips))
 	}
+	minLat, minLng := math.Inf(1), math.Inf(1)
+	maxLat, maxLng := math.Inf(-1), math.Inf(-1)
+	for _, n := range c.Graph.Nodes() {
+		minLat, maxLat = min(minLat, n.Pt.Lat), max(maxLat, n.Pt.Lat)
+		minLng, maxLng = min(minLng, n.Pt.Lng), max(maxLng, n.Pt.Lng)
+	}
 	for _, tr := range trips {
 		if err := tr.Raw.Validate(); err != nil {
 			t.Fatalf("invalid trajectory %s: %v", tr.Raw.ID, err)
@@ -117,14 +124,11 @@ func TestGenerateFleetBasics(t *testing.T) {
 		if tr.Raw.Duration() <= 0 {
 			t.Fatalf("trip %s has no duration", tr.Raw.ID)
 		}
-		// Samples stay within a buffered city bounding box.
-		box := geo.EmptyBBox()
-		for _, n := range c.Graph.Nodes() {
-			box.Extend(n.Pt)
-		}
-		box = box.Buffer(500)
+		// Samples stay within the city's bounding box grown by 0.005°
+		// (about 500 m).
 		for _, s := range tr.Raw.Samples {
-			if !box.Contains(s.Pt) {
+			if s.Pt.Lat < minLat-0.005 || s.Pt.Lat > maxLat+0.005 ||
+				s.Pt.Lng < minLng-0.005 || s.Pt.Lng > maxLng+0.005 {
 				t.Fatalf("trip %s leaves the city: %v", tr.Raw.ID, s.Pt)
 			}
 		}
@@ -165,7 +169,7 @@ func TestRushHourSlowerThanNight(t *testing.T) {
 	avg := func(trips []*Trip) float64 {
 		var sum float64
 		for _, tr := range trips {
-			sum += tr.Raw.AverageSpeedKmh()
+			sum += tr.Raw.Length() / tr.Raw.Duration().Seconds() * 3.6
 		}
 		return sum / float64(len(trips))
 	}
@@ -192,11 +196,6 @@ func TestEventInjectionAppears(t *testing.T) {
 	// be rarer.
 	if counts[EventUTurn]+counts[EventOverspeed] == 0 {
 		t.Fatal("no u-turn or overspeed events at all")
-	}
-	if !trips[0].HasEvent(EventStay) && !trips[0].HasEvent(EventDetour) &&
-		!trips[0].HasEvent(EventUTurn) && !trips[0].HasEvent(EventOverspeed) {
-		// Not all trips must have events; just exercise HasEvent.
-		_ = trips[0].HasEvent(EventCongestion)
 	}
 }
 
@@ -282,13 +281,13 @@ func TestTripTimestampsMonotonic(t *testing.T) {
 
 func TestCityOptionDefaultsAndNodeAt(t *testing.T) {
 	c := NewCity(CityOptions{}) // all defaults
-	if c.Rows() != 12 || c.Cols() != 12 {
-		t.Fatalf("default grid = %dx%d", c.Rows(), c.Cols())
+	if c.opts.Rows != 12 || c.opts.Cols != 12 {
+		t.Fatalf("default grid = %dx%d", c.opts.Rows, c.opts.Cols)
 	}
-	if got := c.NodeAt(0, 0); c.Graph.Node(got).Pt != c.Graph.Node(0).Pt {
+	if got := c.nodeAt[0][0]; c.Graph.Node(got).Pt != c.Graph.Node(0).Pt {
 		t.Fatal("NodeAt(0,0) mismatch")
 	}
-	if got := c.NodeAt(2, 3); int(got) != 2*12+3 {
+	if got := c.nodeAt[2][3]; int(got) != 2*12+3 {
 		t.Fatalf("NodeAt(2,3) = %d", got)
 	}
 	// Clamped one-way fraction.

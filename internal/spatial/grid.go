@@ -141,9 +141,6 @@ func (ix *Index) cell(p geo.Point) int {
 	return row*ix.cols + col
 }
 
-// Len returns the number of indexed items.
-func (ix *Index) Len() int { return len(ix.items) }
-
 // window is an inclusive range of grid rows and columns.
 type window struct{ r0, r1, c0, c1 int }
 
@@ -228,12 +225,15 @@ func (ix *Index) prefilterBox(p geo.Point, radius, colSpanDeg float64) (latHalf,
 	return latHalf, lngHalf
 }
 
-// byDistance orders hits by ascending distance. It yields the same
-// permutation sort.Slice gave with a less-than on Distance (both run the
-// same pattern-defeating quicksort), which matters because equal
-// distances are real: duplicate points, and a fix nearest the node two
-// edges start at, which is exactly as far from both.
-func byDistance(a, b Result) int { return cmp.Compare(a.Distance, b.Distance) }
+// ByDistance orders hits by ascending distance: AppendWithin sorts its
+// hits with slices.SortFunc and ByDistance, and a caller that sorts the
+// same hits in the same walk order the same way gets the same
+// permutation. It yields the permutation sort.Slice gave with a
+// less-than on Distance (both run the same pattern-defeating
+// quicksort), which matters because equal distances are real: duplicate
+// points, and a fix nearest the node two edges start at, which is
+// exactly as far from both.
+func ByDistance(a, b Result) int { return cmp.Compare(a.Distance, b.Distance) }
 
 // AppendWithin appends every item within radius metres of p to dst,
 // sorted by ascending distance, and returns the extended slice; dst's
@@ -260,7 +260,7 @@ func (ix *Index) AppendWithin(dst []Result, p geo.Point, radius float64) []Resul
 			}
 		}
 	}
-	slices.SortFunc(dst[n0:], byDistance)
+	slices.SortFunc(dst[n0:], ByDistance)
 	return dst
 }
 

@@ -27,8 +27,8 @@ func TestWithinBasic(t *testing.T) {
 		geo.Destination(origin, 90, 500),
 		geo.Destination(origin, 0, 2000),
 	)
-	if ix.Len() != 4 {
-		t.Fatalf("Len = %d", ix.Len())
+	if len(ix.items) != 4 {
+		t.Fatalf("Len = %d", len(ix.items))
 	}
 	got := ix.AppendWithin(nil, origin, 600)
 	if len(got) != 3 {
@@ -334,8 +334,8 @@ func TestNonFiniteItemsNeverHit(t *testing.T) {
 		{ID: 1, Point: origin},
 		{ID: 2, Point: geo.Point{Lat: origin.Lat, Lng: math.Inf(1)}},
 	})
-	if ix.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", ix.Len())
+	if len(ix.items) != 1 {
+		t.Fatalf("Len = %d, want 1", len(ix.items))
 	}
 	if got := ix.AppendWithin(nil, origin, 1e5); len(got) != 1 || got[0].ID != 1 {
 		t.Fatalf("hits = %+v, want only item 1", got)

@@ -71,23 +71,6 @@ type Summary struct {
 	Text string
 }
 
-// FeatureKeys returns the distinct selected feature keys across all
-// partitions, in first-appearance order. The experiment harness uses this
-// for feature-frequency statistics.
-func (s *Summary) FeatureKeys() []string {
-	seen := make(map[string]bool)
-	var out []string
-	for _, p := range s.Parts {
-		for _, f := range p.Features {
-			if !seen[f.Key] {
-				seen[f.Key] = true
-				out = append(out, f.Key)
-			}
-		}
-	}
-	return out
-}
-
 // MentionsFeature reports whether any partition describes the feature.
 func (s *Summary) MentionsFeature(key string) bool {
 	for _, p := range s.Parts {

@@ -37,22 +37,9 @@ func DefaultTemplates() *TemplateSet {
 	return ts
 }
 
-// RegisterClause installs the phrase template of a custom feature. It
-// fails on duplicates, mirroring feature.Registry.Register.
-func (ts *TemplateSet) RegisterClause(key string, r ClauseRenderer) error {
-	if key == "" || r == nil {
-		return fmt.Errorf("summarize: clause must have a key and a renderer")
-	}
-	if _, dup := ts.clauses[key]; dup {
-		return fmt.Errorf("summarize: duplicate clause for feature %q", key)
-	}
-	ts.clauses[key] = r
-	return nil
-}
-
-// SetClause installs or replaces the phrase template of a feature.
-// Unlike RegisterClause it overwrites silently, which is what a custom
-// feature that shadows a built-in template wants.
+// SetClause installs or replaces the phrase template of a feature. It
+// overwrites silently, which is what a custom feature that shadows a
+// built-in template wants.
 func (ts *TemplateSet) SetClause(key string, r ClauseRenderer) error {
 	if key == "" || r == nil {
 		return fmt.Errorf("summarize: clause must have a key and a renderer")
@@ -61,15 +48,9 @@ func (ts *TemplateSet) SetClause(key string, r ClauseRenderer) error {
 	return nil
 }
 
-// HasClause reports whether a renderer is installed for the feature key.
-func (ts *TemplateSet) HasClause(key string) bool {
-	_, ok := ts.clauses[key]
-	return ok
-}
-
 // renderScratch is the reusable realization state: the byte buffer the
 // whole summary text is assembled in, the part-boundary marks that slice
-// it back into per-partition sentences, and the clause list RenderPart
+// it back into per-partition sentences, and the clause list appendPart
 // accumulates per sentence. Pooled so steady-state serving pays one
 // allocation per summary — the final string conversion — instead of a
 // builder, a clause slice and a parts slice per request.
@@ -80,18 +61,6 @@ type renderScratch struct {
 }
 
 var renderPool = sync.Pool{New: func() any { return new(renderScratch) }}
-
-// RenderPart fills ps.Text from the sentence templates of Table VI:
-//
-//	The car moved/started from source to destination through road type,
-//	with feature template / Then it moved from source to destination
-//	smoothly.
-func (ts *TemplateSet) RenderPart(ps *PartSummary, first bool) {
-	rs := renderPool.Get().(*renderScratch)
-	rs.buf = ts.appendPart(rs.buf[:0], rs, ps, first)
-	ps.Text = string(rs.buf)
-	renderPool.Put(rs)
-}
 
 // RenderSummary renders every partition sentence and joins them into the
 // final summary text. The sentences are realized into one shared buffer

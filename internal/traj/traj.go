@@ -84,33 +84,6 @@ func (r *Raw) Polyline() geo.Polyline {
 // Length returns the travelled distance in metres.
 func (r *Raw) Length() float64 { return r.Polyline().Length() }
 
-// AverageSpeedKmh returns the overall average speed. Zero-duration
-// trajectories report 0.
-func (r *Raw) AverageSpeedKmh() float64 {
-	d := r.Duration().Seconds()
-	if d <= 0 {
-		return 0
-	}
-	return r.Length() / d * 3.6
-}
-
-// SpeedBetween returns the average speed in km/h between samples i and j
-// (i < j). Zero elapsed time reports 0.
-func (r *Raw) SpeedBetween(i, j int) float64 {
-	if i < 0 || j >= len(r.Samples) || i >= j {
-		return 0
-	}
-	elapsed := r.Samples[j].T.Sub(r.Samples[i].T).Seconds()
-	if elapsed <= 0 {
-		return 0
-	}
-	var dist float64
-	for k := i + 1; k <= j; k++ {
-		dist += geo.Distance(r.Samples[k-1].Pt, r.Samples[k].Pt)
-	}
-	return dist / elapsed * 3.6
-}
-
 // ErrNotCalibrated is returned when an operation requires a symbolic
 // trajectory with at least two landmark visits.
 var ErrNotCalibrated = errors.New("traj: symbolic trajectory has fewer than 2 landmark visits")
@@ -177,9 +150,6 @@ func (s *Symbolic) Segments() []Segment {
 	}
 	return out
 }
-
-// Duration returns the elapsed time of the segment.
-func (sg Segment) Duration() time.Duration { return sg.To.T.Sub(sg.From.T) }
 
 // RawSamples returns the raw samples spanned by the segment (inclusive of
 // the boundary samples). It returns nil when the symbolic trajectory has no

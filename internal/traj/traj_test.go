@@ -58,9 +58,6 @@ func TestDurationLengthSpeed(t *testing.T) {
 	if got := r.Length(); math.Abs(got-600) > 2 {
 		t.Fatalf("Length = %v, want about 600", got)
 	}
-	if got := r.AverageSpeedKmh(); math.Abs(got-36) > 0.5 {
-		t.Fatalf("AverageSpeedKmh = %v, want about 36", got)
-	}
 }
 
 func TestEmptyRawAccessors(t *testing.T) {
@@ -68,24 +65,8 @@ func TestEmptyRawAccessors(t *testing.T) {
 	if !r.Start().IsZero() || !r.End().IsZero() {
 		t.Error("empty Start/End should be zero")
 	}
-	if r.Duration() != 0 || r.Length() != 0 || r.AverageSpeedKmh() != 0 {
+	if r.Duration() != 0 || r.Length() != 0 {
 		t.Error("empty metrics should be zero")
-	}
-}
-
-func TestSpeedBetween(t *testing.T) {
-	r := eastRaw(36, 10, 7)
-	if got := r.SpeedBetween(0, 3); math.Abs(got-36) > 0.5 {
-		t.Fatalf("SpeedBetween(0,3) = %v", got)
-	}
-	if got := r.SpeedBetween(3, 3); got != 0 {
-		t.Fatalf("SpeedBetween(i,i) = %v", got)
-	}
-	if got := r.SpeedBetween(-1, 2); got != 0 {
-		t.Fatalf("SpeedBetween(-1,2) = %v", got)
-	}
-	if got := r.SpeedBetween(0, 99); got != 0 {
-		t.Fatalf("SpeedBetween(0,99) = %v", got)
 	}
 }
 
@@ -118,7 +99,7 @@ func TestSymbolicSegments(t *testing.T) {
 	if segs[1].Index != 1 {
 		t.Fatalf("segment 1 index = %d", segs[1].Index)
 	}
-	if d := segs[0].Duration(); d != 40*time.Second {
+	if d := segs[0].To.T.Sub(segs[0].From.T); d != 40*time.Second {
 		t.Fatalf("segment 0 duration = %v", d)
 	}
 	ids := s.LandmarkIDs()

@@ -13,7 +13,7 @@ import (
 
 func TestWorldRoundTrip(t *testing.T) {
 	city := simulate.NewCity(simulate.CityOptions{Rows: 5, Cols: 5, Seed: 3})
-	city.Landmarks.SetSignificance(0, 0.77)
+	city.Landmarks.All()[0].Significance = 0.77
 
 	var buf bytes.Buffer
 	if err := SaveWorld(&buf, city.Graph, city.Landmarks); err != nil {

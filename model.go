@@ -84,14 +84,6 @@ func (m *Model) Stats() TrainStats { return m.stats }
 // the historical feature map.
 func (m *Model) NumTransitions() int { return m.featMap.NumEdges() }
 
-// CalibrationRadiusMeters is the anchor radius the training corpus was
-// calibrated with.
-func (m *Model) CalibrationRadiusMeters() float64 { return m.calibrationRadiusMeters }
-
-// MinAnchorSpacingMeters is the anchor-thinning spacing the training
-// corpus was calibrated with.
-func (m *Model) MinAnchorSpacingMeters() float64 { return m.minAnchorSpacingMeters }
-
 // Popular exposes the popular-route knowledge. Read-only.
 func (m *Model) Popular() *history.Popular { return m.popular }
 

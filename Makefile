@@ -77,3 +77,4 @@ fuzz-smoke:
 	go test -run='^$$' -fuzz=FuzzNearestEdgeHint -fuzztime=15s ./internal/roadnet
 	go test -run='^$$' -fuzz=FuzzHMMCandidates -fuzztime=15s ./internal/roadnet
 	go test -run='^$$' -fuzz=FuzzWithinEquivalence -fuzztime=15s ./internal/spatial
+	go test -run='^$$' -fuzz=FuzzRadiusTest -fuzztime=15s ./internal/geo

@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"stmaker/internal/feature"
 	"stmaker/internal/geo"
 	"stmaker/internal/roadnet"
 	"stmaker/internal/sanitize"
@@ -398,4 +399,54 @@ func writeMatchingGolden(path string, f matchingFile) error {
 	}
 	buf.WriteString("  ]\n}\n")
 	return os.WriteFile(path, buf.Bytes(), 0o644)
+}
+
+// TestMovingExtractMatchesDetect checks that the stay-point and U-turn
+// extractors, which count without building the by-product slices, count
+// exactly what Detect returns, on every segment of the golden fleet: the
+// summaries' 5 s trips and the matching golden's 1 s and 15 s trips,
+// each calibrated raw and after the sanitizer. The fleet must hold both
+// kinds of event, or the test would compare zeros.
+func TestMovingExtractMatchesDetect(t *testing.T) {
+	city, s := newWorld(t, func(c *Config) { c.Sanitize = &sanitize.Options{} })
+	fleets := [][]*traj.Raw{rawCorpus(simulate.GenerateFleet(city, simulate.FleetOptions{
+		NumTrips: goldenNumTrips, Seed: goldenFleetSeed, FixedHour: -1,
+	}))}
+	for _, iv := range goldenMatchIntervals {
+		fleets = append(fleets, rawCorpus(simulate.GenerateFleet(city, simulate.FleetOptions{
+			NumTrips: goldenMatchTrips, Seed: goldenFleetSeed, FixedHour: -1, SampleInterval: iv,
+		})))
+	}
+	sp, ut := feature.NewStayPoints(), feature.NewUTurns()
+	segments, stays, turns := 0, 0, 0
+	for _, fleet := range fleets {
+		for _, r := range fleet {
+			inputs := []*traj.Raw{r}
+			if repaired, _, err := s.sanitizer.Sanitize(r); err == nil {
+				inputs = append(inputs, repaired)
+			}
+			for _, in := range inputs {
+				sym, err := s.Calibrate(in)
+				if err != nil {
+					continue
+				}
+				for i := 0; i < sym.NumSegments(); i++ {
+					seg := sym.Segment(i)
+					wantStays := len(sp.Detect(seg.RawSamples()))
+					if got := sp.Extract(seg, nil); got != float64(wantStays) {
+						t.Fatalf("%s segment %d: StayPoints.Extract = %v, Detect found %d", r.ID, i, got, wantStays)
+					}
+					wantTurns := len(ut.Detect(seg.RawSamples()))
+					if got := ut.Extract(seg, nil); got != float64(wantTurns) {
+						t.Fatalf("%s segment %d: UTurns.Extract = %v, Detect found %d", r.ID, i, got, wantTurns)
+					}
+					segments, stays, turns = segments+1, stays+wantStays, turns+wantTurns
+				}
+			}
+		}
+	}
+	if stays == 0 || turns == 0 {
+		t.Fatalf("%d segments hold %d stays and %d U-turns; the fleet must hold both", segments, stays, turns)
+	}
+	t.Logf("%d segments, %d stays, %d U-turns", segments, stays, turns)
 }

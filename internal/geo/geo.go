@@ -45,16 +45,119 @@ func Distance(a, b Point) float64 {
 	if a == b {
 		return 0
 	}
-	lat1, lat2 := deg2rad(a.Lat), deg2rad(b.Lat)
-	dLat := lat2 - lat1
-	dLng := deg2rad(b.Lng - a.Lng)
-	sinLat := math.Sin(dLat / 2)
-	sinLng := math.Sin(dLng / 2)
-	h := sinLat*sinLat + math.Cos(lat1)*math.Cos(lat2)*sinLng*sinLng
+	lat1 := deg2rad(a.Lat)
+	h := haversine(lat1, math.Cos(lat1), a.Lng, b)
 	if h > 1 {
 		h = 1
 	}
 	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
+}
+
+// haversine returns the haversine term
+// h = sin²(Δφ/2) + cos φ₁·cos φ₂·sin²(Δλ/2) from a point at latitude lat1
+// (radians, with cosine cosLat1) and longitude lng1 (degrees) to b.
+// Distance and the radius tests share it, so they see the same h for the
+// same two points.
+func haversine(lat1, cosLat1, lng1 float64, b Point) float64 {
+	lat2 := deg2rad(b.Lat)
+	dLat := lat2 - lat1
+	dLng := deg2rad(b.Lng - lng1)
+	sinLat := math.Sin(dLat / 2)
+	sinLng := math.Sin(dLng / 2)
+	return sinLat*sinLat + cosLat1*math.Cos(lat2)*sinLng*sinLng
+}
+
+// Radius is a distance in metres prepared for exact radius tests
+// (Centre.Within and Centre.AtLeast). It holds sin²(r/2R), the haversine
+// term of a great circle r metres long, with a bracket around it: a
+// point whose term lies below the bracket is nearer than r, one whose
+// term lies above it is farther, and within it only Distance can tell.
+// Preparing a radius costs a sine, so prepare each constant radius once.
+// Use NewRadius; the zero Radius is not prepared.
+type Radius struct {
+	m      float64
+	lo, hi float64
+}
+
+// radiusSlack is the relative half-width of a Radius's bracket. The
+// rounding of Distance and of sin²(r/2R) moves a comparison by a few
+// ulps, about 1e-15 relative; the bracket is a million times wider.
+const radiusSlack = 1e-9
+
+// Radii outside [minTestRadius, maxTestRadius] metres leave every test to
+// Distance. Below, sin²(r/2R) nears the subnormal floats, where a
+// relative bracket means nothing; above, asin's slope, which maps h to
+// a distance, grows, and the bracket would have to widen with it.
+const (
+	minTestRadius = 1e-6
+	maxTestRadius = 1e6
+)
+
+// NewRadius prepares a radius of r metres. A radius that is not positive,
+// is below a micrometre or above 1,000 km, or is NaN leaves every test to
+// Distance.
+func NewRadius(r float64) Radius {
+	if !(r >= minTestRadius && r <= maxTestRadius) {
+		return Radius{m: r, lo: 0, hi: math.Inf(1)}
+	}
+	s := math.Sin(r / (2 * EarthRadiusMeters))
+	h := s * s
+	return Radius{m: r, lo: h * (1 - radiusSlack), hi: h * (1 + radiusSlack)}
+}
+
+// Centre is a point prepared as the centre of radius tests: it keeps the
+// latitude in radians and its cosine, which the haversine term of every
+// test against it reuses.
+type Centre struct {
+	p           Point
+	lat, cosLat float64
+}
+
+// NewCentre prepares c as the centre of radius tests.
+func NewCentre(c Point) Centre {
+	lat := deg2rad(c.Lat)
+	return Centre{p: c, lat: lat, cosLat: math.Cos(lat)}
+}
+
+// Within reports whether Distance(c, p) <= r, with the same answer for
+// every input.
+func (c Centre) Within(p Point, r Radius) bool {
+	switch c.side(p, r) {
+	case -1:
+		return true
+	case 1:
+		return false
+	}
+	return Distance(c.p, p) <= r.m
+}
+
+// AtLeast reports whether Distance(c, p) >= r, with the same answer for
+// every input.
+func (c Centre) AtLeast(p Point, r Radius) bool {
+	switch c.side(p, r) {
+	case -1:
+		return false
+	case 1:
+		return true
+	}
+	return Distance(c.p, p) >= r.m
+}
+
+// side returns -1 when p certainly lies nearer to c than r, +1 when it
+// certainly lies farther, and 0 when only Distance can tell: for an h
+// within r's bracket, a NaN h (an input is NaN or infinite) and a
+// negative one, which rounding gives only for a latitude beyond ±90°.
+// Distance maps the same h to 2R·asin(√h), which grows with h, and the
+// bracket is far wider than the rounding on either side. A p equal to c
+// has h exactly 0, below every prepared bracket, and Distance exactly 0.
+func (c Centre) side(p Point, r Radius) int {
+	switch h := haversine(c.lat, c.cosLat, c.p.Lng, p); {
+	case h >= 0 && h < r.lo:
+		return -1
+	case h > r.hi:
+		return 1
+	}
+	return 0
 }
 
 // Bearing returns the initial great-circle bearing from a to b in degrees

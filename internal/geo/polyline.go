@@ -61,20 +61,6 @@ func (pl Polyline) NearestPoint(p Point) (dist float64, segIdx int, t float64) {
 	return dist, segIdx, t
 }
 
-// DistanceAlong returns the distance in metres from the start of the
-// polyline to the point identified by segment index and fraction (as
-// returned by NearestPoint).
-func (pl Polyline) DistanceAlong(segIdx int, t float64) float64 {
-	var d float64
-	for i := 0; i < segIdx && i < len(pl)-1; i++ {
-		d += Distance(pl[i], pl[i+1])
-	}
-	if segIdx < len(pl)-1 {
-		d += Distance(pl[segIdx], pl[segIdx+1]) * t
-	}
-	return d
-}
-
 // Resample returns a copy of the polyline resampled at a fixed spacing in
 // metres, always retaining the original endpoints. A spacing <= 0 returns a
 // copy of the input.

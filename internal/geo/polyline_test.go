@@ -64,9 +64,8 @@ func TestPolylineNearestPoint(t *testing.T) {
 	if !near(d, 100, 2) || seg != 1 || !near(tt, 0.5, 0.05) {
 		t.Fatalf("NearestPoint: d=%v seg=%d t=%v", d, seg, tt)
 	}
-	along := pl.DistanceAlong(seg, tt)
-	if !near(along, 1500, 10) {
-		t.Fatalf("DistanceAlong = %v, want about 1500", along)
+	if along := Distance(pl[seg], Interpolate(pl[seg], pl[seg+1], tt)); !near(along, 500, 10) {
+		t.Fatalf("the projection lies %v m along segment %d, want about 500", along, seg)
 	}
 }
 

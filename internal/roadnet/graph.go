@@ -81,7 +81,11 @@ func (g *Graph) AddEdge(from, to NodeID, name string, grade Grade, width float64
 		Grade: grade, Width: width, Direction: dir,
 		Geometry: geometry,
 	}
-	e.length = geometry.Length()
+	e.segLens = make([]float64, max(len(geometry)-1, 0))
+	for i := range e.segLens {
+		e.segLens[i] = geo.Distance(geometry[i], geometry[i+1])
+		e.length += e.segLens[i]
+	}
 	g.edges = append(g.edges, e)
 	g.out[from] = append(g.out[from], arc{edge: id})
 	if dir == TwoWay {

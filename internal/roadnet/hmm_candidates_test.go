@@ -26,7 +26,7 @@ func (m *Matcher) appendCandidates(dst []Match, sc *matchScratch, p geo.Point, r
 		if d > radius {
 			continue
 		}
-		dst = append(dst, Match{Edge: e, Distance: d, Along: e.Geometry.DistanceAlong(seg, t)})
+		dst = append(dst, Match{Edge: e, Distance: d, Along: distanceAlong(e.Geometry, seg, t)})
 	}
 	// Insertion sort by distance (candidate lists are tiny).
 	out := dst[n0:]

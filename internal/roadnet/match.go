@@ -33,9 +33,10 @@ func NewMatcher(g *Graph) *Matcher {
 }
 
 // matchScratch is the working memory of one edge query: the index hits
-// and the edges already scored, or for the HMM's band query the band's
-// samples and the edges they belong to. It is pooled (or held in the
-// HMM's step scratch), so per-sample matching allocates nothing.
+// or the prefilter band's samples, and the edges already scored, or for
+// the HMM's band query the edges the band's samples belong to. It is
+// pooled (or held in the HMM's step scratch), so per-sample matching
+// allocates nothing.
 type matchScratch struct {
 	hits  []spatial.Result
 	seen  []int
@@ -79,12 +80,16 @@ type Match struct {
 // prev is a hint, nil for none: the edge the previous fix of the same
 // trace matched. It changes how far the index is searched, never the
 // result. When prev lies d ≤ maxDist from p, every edge within d of p
-// has an index sample within d + matchSampleSpacing, so a query of that
-// radius finds the nearest edge; only when another edge ties it exactly
-// does NearestEdge search the full radius, because the winner of a tie
-// is the edge met first, and the hit order among equal distances is the
-// sort's, which differs between a narrow query and a full one. A hint
-// that is not an edge of the matcher's graph is ignored.
+// has an index sample within d + matchSampleSpacing, so the index's
+// prefilter band for that radius holds it. NearestEdge measures each
+// edge of the band once, in walk order, without measuring or sorting
+// the samples: an edge with no sample within that radius lies farther
+// than prev and can neither win nor tie, and without a tie the nearest
+// edge does not depend on the order edges are met in. Only when another
+// edge ties the nearest exactly does NearestEdge search the full radius,
+// because the winner of a tie is the edge met first, and the full query
+// meets its hits in the order of its sort. A hint that is not an edge of
+// the matcher's graph is ignored.
 func (m *Matcher) NearestEdge(p geo.Point, maxDist float64, prev *Edge) (Match, bool) {
 	sc := matchScratchPool.Get().(*matchScratch)
 	defer matchScratchPool.Put(sc)
@@ -92,9 +97,13 @@ func (m *Matcher) NearestEdge(p geo.Point, maxDist float64, prev *Edge) (Match, 
 		c := nearest{e: prev}
 		c.d, c.seg, c.t = prev.Geometry.NearestPoint(p)
 		if c.d <= maxDist {
-			m.query(sc, p, c.d+matchSampleSpacing)
-			sc.seen = append(sc.seen, int(prev.ID))
-			m.scan(sc, p, &c)
+			sc.band = m.ix.AppendBand(sc.band[:0], p, c.d+matchSampleSpacing)
+			sc.seen = append(sc.seen[:0], int(prev.ID))
+			for _, it := range sc.band {
+				if sc.firstSeen(it.ID) {
+					c.consider(m.g.Edge(EdgeID(it.ID)), p)
+				}
+			}
 			if !c.tied {
 				return c.match(), true
 			}
@@ -102,7 +111,11 @@ func (m *Matcher) NearestEdge(p geo.Point, maxDist float64, prev *Edge) (Match, 
 	}
 	m.query(sc, p, maxDist+matchSampleSpacing)
 	c := nearest{d: math.Inf(1)}
-	m.scan(sc, p, &c)
+	for _, h := range sc.hits {
+		if sc.firstSeen(h.ID) {
+			c.consider(m.g.Edge(EdgeID(h.ID)), p)
+		}
+	}
 	if c.e == nil || c.d > maxDist {
 		return Match{}, false
 	}
@@ -120,27 +133,20 @@ type nearest struct {
 	tied bool
 }
 
-// scan measures every edge of sc.hits not yet seen against p and keeps
-// the nearest in c. Samples come nearest first and only a strictly
-// nearer edge replaces c, so of two edges at exactly the same distance
-// the one whose sample is met first wins.
-func (m *Matcher) scan(sc *matchScratch, p geo.Point, c *nearest) {
-	for _, h := range sc.hits {
-		if !sc.firstSeen(h.ID) {
-			continue
-		}
-		e := m.g.Edge(EdgeID(h.ID))
-		switch d, seg, t := e.Geometry.NearestPoint(p); {
-		case d < c.d:
-			*c = nearest{e: e, d: d, seg: seg, t: t}
-		case d == c.d: //lint:allow floateq -- an exact tie is what the hint must not decide
-			c.tied = true
-		}
+// consider measures e against p. Only a strictly nearer edge replaces
+// c's, so of two edges at exactly the same distance the one met first
+// stays, and the other marks the tie.
+func (c *nearest) consider(e *Edge, p geo.Point) {
+	switch d, seg, t := e.Geometry.NearestPoint(p); {
+	case d < c.d:
+		*c = nearest{e: e, d: d, seg: seg, t: t}
+	case d == c.d: //lint:allow floateq -- an exact tie is what the hint must not decide
+		c.tied = true
 	}
 }
 
 func (c nearest) match() Match {
-	return Match{Edge: c.e, Distance: c.d, Along: c.e.Geometry.DistanceAlong(c.seg, c.t)}
+	return Match{Edge: c.e, Distance: c.d, Along: c.e.along(c.seg, c.t)}
 }
 
 // NearestNode returns the graph node closest to p, or false when the graph

@@ -140,11 +140,31 @@ type Edge struct {
 	// SpeedLimitKmh is the legal speed; zero means use the grade default.
 	SpeedLimitKmh float64
 
-	length float64 // cached geometry length
+	// segLens[i] is the haversine length of Geometry's segment i, and
+	// length is their sum in order, which is Geometry.Length(). A match's
+	// Along sums them, so matching takes no haversine along the edge.
+	segLens []float64
+	length  float64
 }
 
 // Length returns the segment length in metres.
 func (e *Edge) Length() float64 { return e.length }
+
+// along returns the distance in metres from the start of the geometry to
+// the point at fraction t of segment seg, as NearestPoint reports them:
+// the lengths of the segments before seg in order, then t of seg's. The
+// sum is the one taking each segment's haversine in turn would give, to
+// the bit (the tests' distanceAlong).
+func (e *Edge) along(seg int, t float64) float64 {
+	var d float64
+	for _, l := range e.segLens[:min(seg, len(e.segLens))] {
+		d += l
+	}
+	if seg < len(e.segLens) {
+		d += e.segLens[seg] * t
+	}
+	return d
+}
 
 // SpeedLimit returns the effective speed limit in km/h.
 func (e *Edge) SpeedLimit() float64 {

@@ -138,11 +138,14 @@ func (r Report) String() string {
 // for concurrent use.
 type Sanitizer struct {
 	opts Options
+	// jitter is opts.JitterEpsilonMeters prepared for the radius test.
+	jitter geo.Radius
 }
 
 // New returns a Sanitizer with the given options.
 func New(opts Options) *Sanitizer {
-	return &Sanitizer{opts: opts.withDefaults()}
+	opts = opts.withDefaults()
+	return &Sanitizer{opts: opts, jitter: geo.NewRadius(opts.JitterEpsilonMeters)}
 }
 
 // Sanitize returns a repaired copy of r together with the repair report.
@@ -265,8 +268,9 @@ func (s *Sanitizer) collapseJitter(in []traj.Sample, rep *Report) []traj.Sample 
 	out := in[:0]
 	i := 0
 	for i < len(in) {
+		first := geo.NewCentre(in[i].Pt)
 		j := i + 1
-		for j < len(in) && geo.Distance(in[i].Pt, in[j].Pt) <= s.opts.JitterEpsilonMeters {
+		for j < len(in) && first.Within(in[j].Pt, s.jitter) {
 			j++
 		}
 		// [i, j) is one run; keep its endpoints.

@@ -80,12 +80,14 @@ func byAlong(a, b anchor) int {
 
 // scratch is one calibration's working memory: the landmark hits of the
 // current raw segment, the anchors, and the anchors regrouped by
-// landmark for dedupeAnchors. It is pooled, so a warm Calibrate
-// allocates only the symbolic trajectory it returns.
+// landmark for dedupeAnchors with the counts that place them. It is
+// pooled, so a warm Calibrate allocates only the symbolic trajectory it
+// returns.
 type scratch struct {
 	hits    []spatial.Result
 	anchors []anchor
 	byLm    []anchor
+	counts  []int32
 }
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
@@ -156,11 +158,9 @@ func (c *Calibrator) collectAnchors(sc *scratch, r *traj.Raw) []anchor {
 // detection of each pass. Distinct passes (loops) survive. The result
 // overwrites anchors; sc holds the regrouped copy.
 func dedupeAnchors(sc *scratch, anchors []anchor, revisitGap float64) []anchor {
-	// Group by landmark, then split each group into passes. The stable
-	// sort keeps each group in the input's along order.
-	byLm := append(sc.byLm[:0], anchors...)
-	slices.SortStableFunc(byLm, func(a, b anchor) int { return cmp.Compare(a.landmarkID, b.landmarkID) })
-	sc.byLm = byLm
+	// Group by landmark, then split each group into passes. Each group
+	// keeps the input's along order.
+	byLm := groupByLandmark(sc, anchors)
 	out := anchors[:0]
 	for len(byLm) > 0 {
 		n := 1
@@ -196,6 +196,42 @@ func dedupeAnchors(sc *scratch, anchors []anchor, revisitGap float64) []anchor {
 		final = append(final, a)
 	}
 	return final
+}
+
+// groupByLandmark copies anchors into sc.byLm grouped by ascending
+// landmark ID, each group in the input's order, and returns the copy: the
+// unique output of a stable sort by landmark ID, from a counting pass
+// over the range of IDs the anchors hold. Landmark IDs index the
+// landmark set, so the range is at most the set's size.
+func groupByLandmark(sc *scratch, anchors []anchor) []anchor {
+	byLm := slices.Grow(sc.byLm[:0], len(anchors))[:len(anchors)]
+	sc.byLm = byLm
+	if len(anchors) == 0 {
+		return byLm
+	}
+	lo, hi := anchors[0].landmarkID, anchors[0].landmarkID
+	for _, a := range anchors[1:] {
+		lo, hi = min(lo, a.landmarkID), max(hi, a.landmarkID)
+	}
+	// counts[k] counts landmark lo+k's anchors, then holds where the
+	// next of them goes.
+	counts := slices.Grow(sc.counts[:0], hi-lo+1)[:hi-lo+1]
+	sc.counts = counts
+	clear(counts)
+	for _, a := range anchors {
+		counts[a.landmarkID-lo]++
+	}
+	var next int32
+	for k, n := range counts {
+		counts[k] = next
+		next += n
+	}
+	for _, a := range anchors {
+		k := a.landmarkID - lo
+		byLm[counts[k]] = a
+		counts[k]++
+	}
+	return byLm
 }
 
 // enforceSpacing drops anchors closer along the route than minSpacing to

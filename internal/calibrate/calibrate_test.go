@@ -1,6 +1,9 @@
 package calibrate
 
 import (
+	"cmp"
+	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -235,5 +238,33 @@ func TestCalibrateAllocs(t *testing.T) {
 	calibrate() // warm the pool
 	if allocs := testing.AllocsPerRun(50, calibrate); allocs != 2 {
 		t.Fatalf("Calibrate allocates %v times, want 2 (the Symbolic and its Visits)", allocs)
+	}
+}
+
+// TestGroupByLandmarkMatchesStableSort compares groupByLandmark with the
+// stable sort by landmark ID it replaced, on random anchor lists of up to
+// 200 anchors over as few as one landmark ID, offset by up to 5,000, so
+// most IDs repeat many times. A stable sort's output is unique, so the
+// copy must match it element for element, rawIndex included.
+func TestGroupByLandmarkMatchesStableSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	sc := new(scratch)
+	for trial := 0; trial < 500; trial++ {
+		anchors := make([]anchor, rng.Intn(200))
+		base, ids := rng.Intn(5000), 1+rng.Intn(20)
+		for i := range anchors {
+			anchors[i] = anchor{
+				landmarkID: base + rng.Intn(ids),
+				along:      rng.Float64() * 1000,
+				dist:       rng.Float64() * 100,
+				t:          start.Add(time.Duration(i) * time.Second),
+				rawIndex:   i,
+			}
+		}
+		want := slices.Clone(anchors)
+		slices.SortStableFunc(want, func(a, b anchor) int { return cmp.Compare(a.landmarkID, b.landmarkID) })
+		if got := groupByLandmark(sc, anchors); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: grouped %v, want %v", trial, got, want)
+		}
 	}
 }

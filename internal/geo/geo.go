@@ -46,22 +46,29 @@ func Distance(a, b Point) float64 {
 		return 0
 	}
 	lat1 := deg2rad(a.Lat)
-	h := haversine(lat1, math.Cos(lat1), a.Lng, b)
+	lat2, dLat, dLng := deltas(lat1, a.Lng, b)
+	h := haversine(math.Cos(lat1), lat2, dLat, dLng)
 	if h > 1 {
 		h = 1
 	}
 	return 2 * EarthRadiusMeters * math.Asin(math.Sqrt(h))
 }
 
+// deltas returns b's latitude in radians and the latitude and longitude
+// differences, in radians, from a point at latitude lat1 (radians) and
+// longitude lng1 (degrees). Distance, the radius tests and the bounds
+// below all start from them, so they see the same radians for the same
+// two points.
+func deltas(lat1, lng1 float64, b Point) (lat2, dLat, dLng float64) {
+	lat2 = deg2rad(b.Lat)
+	return lat2, lat2 - lat1, deg2rad(b.Lng - lng1)
+}
+
 // haversine returns the haversine term
-// h = sin²(Δφ/2) + cos φ₁·cos φ₂·sin²(Δλ/2) from a point at latitude lat1
-// (radians, with cosine cosLat1) and longitude lng1 (degrees) to b.
-// Distance and the radius tests share it, so they see the same h for the
-// same two points.
-func haversine(lat1, cosLat1, lng1 float64, b Point) float64 {
-	lat2 := deg2rad(b.Lat)
-	dLat := lat2 - lat1
-	dLng := deg2rad(b.Lng - lng1)
+// h = sin²(Δφ/2) + cos φ₁·cos φ₂·sin²(Δλ/2) from deltas' radians, with
+// cosLat1 = cos φ₁. Distance and the radius tests share it, so they see
+// the same h for the same two points.
+func haversine(cosLat1, lat2, dLat, dLng float64) float64 {
 	sinLat := math.Sin(dLat / 2)
 	sinLng := math.Sin(dLng / 2)
 	return sinLat*sinLat + cosLat1*math.Cos(lat2)*sinLng*sinLng
@@ -107,16 +114,24 @@ func NewRadius(r float64) Radius {
 
 // Centre is a point prepared as the centre of radius tests: it keeps the
 // latitude in radians and its cosine, which the haversine term of every
-// test against it reuses.
+// test against it reuses, and whether hBounds may bracket that term.
 type Centre struct {
 	p           Point
 	lat, cosLat float64
+	bracket     bool
 }
+
+// minBracketCos is the smallest centre cosine (a latitude within about
+// 88.85° of the equator) for which hBounds brackets h. Above it, an
+// absolute error of 1e-15 in a cosine bound is at most 5e-14 of the
+// centre's cosine, far inside bracketSlack.
+const minBracketCos = 0.02
 
 // NewCentre prepares c as the centre of radius tests.
 func NewCentre(c Point) Centre {
 	lat := deg2rad(c.Lat)
-	return Centre{p: c, lat: lat, cosLat: math.Cos(lat)}
+	cos := math.Cos(lat)
+	return Centre{p: c, lat: lat, cosLat: cos, bracket: math.Abs(c.Lat) <= 90 && cos >= minBracketCos}
 }
 
 // Within reports whether Distance(c, p) <= r, with the same answer for
@@ -150,14 +165,109 @@ func (c Centre) AtLeast(p Point, r Radius) bool {
 // Distance maps the same h to 2R·asin(√h), which grows with h, and the
 // bracket is far wider than the rounding on either side. A p equal to c
 // has h exactly 0, below every prepared bracket, and Distance exactly 0.
+//
+// Before it computes h, side tries hBounds' trig-free bracket around it:
+// when the bracket lies wholly below r.lo or wholly above r.hi, so does
+// h, and side returns what the h test would.
 func (c Centre) side(p Point, r Radius) int {
-	switch h := haversine(c.lat, c.cosLat, c.p.Lng, p); {
+	lat2, dLat, dLng := deltas(c.lat, c.p.Lng, p)
+	if lo, hi, ok := c.hBounds(p.Lat, dLat, dLng); ok {
+		switch {
+		case hi < r.lo:
+			return -1
+		case lo > r.hi:
+			return 1
+		}
+	}
+	switch h := haversine(c.cosLat, lat2, dLat, dLng); {
 	case h >= 0 && h < r.lo:
 		return -1
 	case h > r.hi:
 		return 1
 	}
 	return 0
+}
+
+// Margins of hBounds: a relative one on the bracket and an absolute one
+// on the bounds of cos φ₂. See hBounds for what they cover.
+const (
+	bracketSlack = 1e-12
+	cosSlack     = 1e-15
+)
+
+// hBounds returns lo ≤ h ≤ hi for the h that haversine computes from c to
+// a point at latitude lat2deg degrees, dLat and dLng radians away, with
+// no trigonometry. ok is false, and the bounds meaningless, unless the
+// centre's cosine is at least minBracketCos, |lat2deg| ≤ 90° and
+// |dLng| ≤ 90° (which also rule out NaN and infinite inputs). With
+// a = dLat/2, b = dLng/2 and c₁ the centre's cosine:
+//
+//	a²(1−a²/3) + c₁·max(0, c₁−|Δφ|)·b²(1−b²/3) ≤ h ≤ a² + c₁·min(1, c₁+|Δφ|)·b²
+//
+// Why it holds:
+//
+//   - x²(1−x²/3) ≤ sin²x ≤ x² for every x: sin x ≥ x − x³/6 ≥ 0 for
+//     0 ≤ x ≤ √6, and the left side is negative beyond √3. Under the
+//     guards |a| ≤ π/2 and |b| ≤ π/4, so both left sides are positive.
+//   - cos is 1-Lipschitz, so cos φ₂ lies within |Δφ| of cos φ₁, and
+//     within [0, 1] for |φ₂| ≤ 90°.
+//   - Rounding: math.Sin and math.Cos are within an ulp or two of the
+//     exact values for their arguments, and h takes four products and a
+//     sum, so the computed h lies within about 20 ulps (2e-15) of the
+//     exact term of the same float radians; the bounds' own arithmetic
+//     adds as much. bracketSlack, 1e-12 relative, covers both a
+//     thousand times over. The two cosines' absolute errors and the
+//     rounding of Δφ and of c₁ ± |Δφ| sum to about 1e-15, which
+//     cosSlack covers; what it might miss, a few 1e-17, is under 1e-14
+//     of the bound because c₁ ≥ minBracketCos, and bracketSlack absorbs
+//     it.
+//
+// Its relative width is about 2|Δφ|/c₁ on the b² term plus a²/3 and
+// b²/3, so at city latitudes it decides every point farther from the
+// radius than about 0.004% at 180 m and 0.04% at 2 km.
+func (c Centre) hBounds(lat2deg, dLat, dLng float64) (lo, hi float64, ok bool) {
+	if !c.bracket || !(math.Abs(lat2deg) <= 90) || !(math.Abs(dLng) <= math.Pi/2) {
+		return 0, 0, false
+	}
+	a, b := dLat/2, dLng/2
+	a2, b2 := a*a, b*b
+	da := math.Abs(dLat)
+	cLo := max(0, c.cosLat-da-cosSlack)
+	cHi := min(1, c.cosLat+da+cosSlack)
+	lo = (a2*(1-a2/3) + c.cosLat*cLo*b2*(1-b2/3)) * (1 - bracketSlack)
+	hi = (a2 + c.cosLat*cHi*b2) * (1 + bracketSlack)
+	return lo, hi, true
+}
+
+// nearerScale is 4R² with a relative margin of 3e-9; CertainlyNearer
+// compares y/(1−y)·nearerScale, the square of its bound, with d².
+const nearerScale = 4 * EarthRadiusMeters * EarthRadiusMeters * (1 + 3e-9)
+
+// CertainlyNearer reports whether Distance(a, b) < d, from a bound that
+// takes no sine, cosine, square root, arcsine or division: true means
+// Distance(a, b) lies below d by more than a relative 1e-9, so a caller
+// that divides or scales it may round a few more times and still find
+// it below its threshold; false means only that the bound cannot tell,
+// and the caller must measure. It returns false unless both latitudes
+// lie within ±90° and 0 < d with d² finite.
+//
+// The bound is 2R·√(y/(1−y)) with y = (Δφ² + Δλ²)/4, from the radians
+// haversine uses. The haversine term is h ≤ y, as sin²x ≤ x² and both
+// cosines lie in [0, 1]; Distance is 2R·asin(√h), and asin z ≤
+// z/√(1−z²). Squared and multiplied out, the bound lies below d when
+// y·(4R² + d²) ≤ d². The test uses 4R²·(1 + 3e-9) instead: that keeps
+// the bound more than 1.4e-9 below d, which leaves the rounding of y, of
+// the test and of Distance itself (a few 1e-15 relative) far inside the
+// promised 1e-9. A y of 1 or more passes only for a d above 10¹⁵ m,
+// where 4R² vanishes beside d²; Distance, at most πR, lies far below it.
+func CertainlyNearer(a, b Point, d float64) bool {
+	dd := d * d
+	if !(math.Abs(a.Lat) <= 90 && math.Abs(b.Lat) <= 90 && d > 0 && dd <= math.MaxFloat64) {
+		return false
+	}
+	_, dLat, dLng := deltas(deg2rad(a.Lat), a.Lng, b)
+	y := (dLat*dLat + dLng*dLng) / 4
+	return y*(nearerScale+dd) <= dd
 }
 
 // Bearing returns the initial great-circle bearing from a to b in degrees

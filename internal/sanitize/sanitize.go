@@ -40,18 +40,19 @@ import (
 // repair — the trajectory is rejected, not repaired.
 var ErrUnusable = errors.New("sanitize: fewer than 2 usable samples remain")
 
-// Default thresholds. They are deliberately loose: sanitization should
-// remove the physically impossible, not second-guess unusual-but-real
-// driving (which is exactly what STMaker wants to describe).
+// The repair thresholds. They are deliberately loose: sanitization
+// should remove the physically impossible, not second-guess
+// unusual-but-real driving (which is exactly what STMaker wants to
+// describe).
 const (
-	// DefaultMaxSpeedKmh is the implied-speed threshold above which a
-	// fix counts as a teleport outlier. 300 km/h is beyond any road
-	// vehicle yet below the step a multipath jump produces.
-	DefaultMaxSpeedKmh = 300
-	// DefaultJitterEpsilonMeters bounds the roaming radius of a
-	// zero-movement run; well under typical GPS accuracy so only true
-	// parked-antenna jitter collapses, never slow driving.
-	DefaultJitterEpsilonMeters = 2
+	// MaxSpeedKmh is the implied-speed threshold above which a fix
+	// counts as a teleport outlier. 300 km/h is beyond any road vehicle
+	// yet below the step a multipath jump produces.
+	MaxSpeedKmh = 300
+	// JitterEpsilonMeters bounds the roaming radius of a zero-movement
+	// run; well under typical GPS accuracy so only true parked-antenna
+	// jitter collapses, never slow driving.
+	JitterEpsilonMeters = 2
 	// teleportAnchorResetAfter bounds the damage of a bad anchor: after
 	// this many consecutive teleport drops the current sample is
 	// accepted as the new anchor (the anchor, not the stream, was
@@ -59,29 +60,18 @@ const (
 	teleportAnchorResetAfter = 3
 )
 
-// Options configures a Sanitizer. The zero value applies every repair at
-// the default thresholds; set a threshold negative to disable that
-// repair.
-type Options struct {
-	// MaxSpeedKmh is the teleport threshold: a sample whose implied
-	// speed from the last kept sample exceeds it is dropped. 0 uses
-	// DefaultMaxSpeedKmh; negative disables outlier removal.
-	MaxSpeedKmh float64
-	// JitterEpsilonMeters is the roaming radius of a zero-movement run;
-	// interior samples of a run are collapsed away. 0 uses
-	// DefaultJitterEpsilonMeters; negative disables jitter collapse.
-	JitterEpsilonMeters float64
-}
+// Options configures a Sanitizer. It has no fields: every repair runs,
+// at the thresholds above. A caller turns sanitization on by passing
+// one (see stmaker.Config.Sanitize).
+type Options struct{}
 
-func (o Options) withDefaults() Options {
-	if o.MaxSpeedKmh == 0 { //lint:allow floateq -- zero means unset: callers opt out with a negative value
-		o.MaxSpeedKmh = DefaultMaxSpeedKmh
-	}
-	if o.JitterEpsilonMeters == 0 { //lint:allow floateq -- zero means unset: callers opt out with a negative value
-		o.JitterEpsilonMeters = DefaultJitterEpsilonMeters
-	}
-	return o
-}
+// jitterRadius is JitterEpsilonMeters prepared for the radius test.
+var jitterRadius = geo.NewRadius(JitterEpsilonMeters)
+
+// teleportMetresPerSecond is MaxSpeedKmh in metres per second: the
+// longest step that a fix dt seconds after its anchor may take is
+// dt·teleportMetresPerSecond.
+const teleportMetresPerSecond = MaxSpeedKmh / 3.6
 
 // Report counts the repairs applied to one trajectory (or, via Merge,
 // to a corpus). A zero report means the input was already clean.
@@ -134,19 +124,12 @@ func (r Report) String() string {
 		r.Input, r.Output, r.DroppedInvalid, r.Reordered, r.DroppedDuplicates, r.DroppedOutliers, r.CollapsedJitter)
 }
 
-// Sanitizer repairs raw trajectories. It is stateless per call and safe
-// for concurrent use.
-type Sanitizer struct {
-	opts Options
-	// jitter is opts.JitterEpsilonMeters prepared for the radius test.
-	jitter geo.Radius
-}
+// Sanitizer repairs raw trajectories. It is stateless and safe for
+// concurrent use.
+type Sanitizer struct{}
 
-// New returns a Sanitizer with the given options.
-func New(opts Options) *Sanitizer {
-	opts = opts.withDefaults()
-	return &Sanitizer{opts: opts, jitter: geo.NewRadius(opts.JitterEpsilonMeters)}
-}
+// New returns a Sanitizer.
+func New(Options) *Sanitizer { return &Sanitizer{} }
 
 // Sanitize returns a repaired copy of r together with the repair report.
 // The input is never mutated. When fewer than two samples survive, it
@@ -227,21 +210,28 @@ func (s *Sanitizer) dropDuplicates(in []traj.Sample, rep *Report) []traj.Sample 
 }
 
 // dropTeleports removes samples whose implied speed from the last kept
-// sample exceeds the threshold. A run of teleportAnchorResetAfter
+// sample exceeds MaxSpeedKmh. A run of teleportAnchorResetAfter
 // consecutive drops resets the anchor to the current sample: when
 // everything after a fix looks like a teleport, the fix — not the
 // stream — was the outlier.
+//
+// Most steps are far slower than the threshold, and geo.CertainlyNearer
+// keeps them without a haversine: it proves the step shorter than
+// (1 − 1e-9)·dt·teleportMetresPerSecond, so the implied speed, after the
+// rounding of that product, of the division by dt and of the product by
+// 3.6 (a few ulps), still lies below MaxSpeedKmh, and the comparison
+// below would keep the fix too. Every other step is measured.
 func (s *Sanitizer) dropTeleports(in []traj.Sample, rep *Report) []traj.Sample {
-	if s.opts.MaxSpeedKmh < 0 || len(in) == 0 {
+	if len(in) == 0 {
 		return in
 	}
 	out := in[:1]
 	consecutive := 0
 	for _, sm := range in[1:] {
 		prev := out[len(out)-1]
-		dt := sm.T.Sub(prev.T).Seconds()
-		speedKmh := geo.Distance(prev.Pt, sm.Pt) / dt * 3.6 // dt > 0 after dedupe
-		if speedKmh > s.opts.MaxSpeedKmh {
+		dt := sm.T.Sub(prev.T).Seconds() // > 0 after dedupe
+		if !geo.CertainlyNearer(prev.Pt, sm.Pt, dt*teleportMetresPerSecond) &&
+			geo.Distance(prev.Pt, sm.Pt)/dt*3.6 > MaxSpeedKmh {
 			consecutive++
 			rep.DroppedOutliers++
 			if consecutive >= teleportAnchorResetAfter {
@@ -262,7 +252,7 @@ func (s *Sanitizer) dropTeleports(in []traj.Sample, rep *Report) []traj.Sample {
 // and last samples survive, preserving the dwell duration that
 // stay-point detection (§III-B) reads.
 func (s *Sanitizer) collapseJitter(in []traj.Sample, rep *Report) []traj.Sample {
-	if s.opts.JitterEpsilonMeters < 0 || len(in) < 3 {
+	if len(in) < 3 {
 		return in
 	}
 	out := in[:0]
@@ -270,7 +260,7 @@ func (s *Sanitizer) collapseJitter(in []traj.Sample, rep *Report) []traj.Sample 
 	for i < len(in) {
 		first := geo.NewCentre(in[i].Pt)
 		j := i + 1
-		for j < len(in) && first.Within(in[j].Pt, s.jitter) {
+		for j < len(in) && first.Within(in[j].Pt, jitterRadius) {
 			j++
 		}
 		// [i, j) is one run; keep its endpoints.

@@ -3,6 +3,7 @@ package sanitize
 import (
 	"errors"
 	"math"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -186,19 +187,6 @@ func TestInputNeverMutated(t *testing.T) {
 	}
 }
 
-func TestDisabledRepairs(t *testing.T) {
-	s := New(Options{MaxSpeedKmh: -1, JitterEpsilonMeters: -1})
-	in := mkTraj(8)
-	in.Samples[4].Pt = geo.Destination(in.Samples[4].Pt, 0, 50_000)
-	out, rep, err := s.Sanitize(in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rep.DroppedOutliers != 0 || len(out.Samples) != 8 {
-		t.Errorf("disabled outlier removal still dropped: %+v", rep)
-	}
-}
-
 func TestReportMerge(t *testing.T) {
 	a := Report{Input: 10, Output: 8, DroppedInvalid: 1, DroppedOutliers: 1}
 	b := Report{Input: 5, Output: 5, Reordered: 2}
@@ -208,5 +196,35 @@ func TestReportMerge(t *testing.T) {
 	}
 	if a.Clean() {
 		t.Error("merged report with repairs claims clean")
+	}
+}
+
+// BenchmarkSanitize repairs a 1 Hz half-hour trip at city speeds: 30 to
+// 60 km/h on a slowly turning heading, with a minute parked in
+// sub-metre jitter every ten minutes and one teleport fix.
+func BenchmarkSanitize(b *testing.B) {
+	rng := rand.New(rand.NewSource(41))
+	r := &traj.Raw{ID: "bench"}
+	pt, brg := geo.Point{Lat: 39.9, Lng: 116.3}, 0.0
+	for i := 0; i < 1800; i++ {
+		switch {
+		case i%600 >= 540:
+			r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(pt, rng.Float64()*360, rng.Float64()*0.8), T: t0.Add(time.Duration(i) * time.Second)})
+			continue
+		case i == 900:
+			r.Samples = append(r.Samples, traj.Sample{Pt: geo.Destination(pt, 0, 5000), T: t0.Add(time.Duration(i) * time.Second)})
+			continue
+		}
+		brg += rng.Float64()*10 - 5
+		pt = geo.Destination(pt, brg, (30+rng.Float64()*30)/3.6)
+		r.Samples = append(r.Samples, traj.Sample{Pt: pt, T: t0.Add(time.Duration(i) * time.Second)})
+	}
+	s := New(Options{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := s.Sanitize(r); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -43,9 +43,13 @@ type Index struct {
 	rows, cols           int
 	offsets              []int32
 	items                []Item
-	// prefilter is false when some item lies off the valid lat/lng
-	// range, where the bounds behind AppendWithin's prefilter fail.
-	prefilter bool
+	// invCell is 1/cellDeg, for the box's rows and columns.
+	invCell float64
+	// box is true when every query of up to maxBoxRadius metres may
+	// use the box prefilter (see boxFactors), whose half-widths per
+	// metre of radius are latPerMetre and lngPerMetre degrees.
+	box                      bool
+	latPerMetre, lngPerMetre float64
 }
 
 // minCellBudget and cellsPerItem cap the dense grid at
@@ -71,9 +75,10 @@ func NewIndex(cellMeters float64, items []Item) *Index {
 	// size, which makes them narrower in metres away from the equator —
 	// harmless for the query semantics, which only rely on cells being an
 	// over-approximation grid.
-	ix := &Index{cellDeg: cellMeters / geo.EarthRadiusMeters * 180 / math.Pi, prefilter: true}
+	ix := &Index{cellDeg: cellMeters / geo.EarthRadiusMeters * 180 / math.Pi}
 	minLat, maxLat := math.Inf(1), math.Inf(-1)
 	minLng, maxLng := math.Inf(1), math.Inf(-1)
+	maxAbsLat, lngInRange := 0.0, true
 	kept := 0
 	for _, it := range items {
 		p := it.Point
@@ -83,9 +88,8 @@ func NewIndex(cellMeters float64, items []Item) *Index {
 		kept++
 		minLat, maxLat = min(minLat, p.Lat), max(maxLat, p.Lat)
 		minLng, maxLng = min(minLng, p.Lng), max(maxLng, p.Lng)
-		if math.Abs(p.Lat) > 90 || math.Abs(p.Lng) > 180 {
-			ix.prefilter = false
-		}
+		maxAbsLat = max(maxAbsLat, math.Abs(p.Lat))
+		lngInRange = lngInRange && math.Abs(p.Lng) <= 180
 	}
 	if kept == 0 {
 		return ix
@@ -101,6 +105,11 @@ func NewIndex(cellMeters float64, items []Item) *Index {
 			break
 		}
 		ix.cellDeg *= 2
+	}
+	ix.invCell = 1 / ix.cellDeg
+	if maxAbsLat <= maxBoxLat && lngInRange && ix.cellDeg >= minBoxCellDeg && ix.cellDeg <= maxBoxCellDeg {
+		ix.box = true
+		ix.latPerMetre, ix.lngPerMetre = boxFactors(maxAbsLat)
 	}
 
 	// Counting sort by cell. offsets[k] first counts cell k's items, then
@@ -144,12 +153,13 @@ func (ix *Index) cell(p geo.Point) int {
 // window is an inclusive range of grid rows and columns.
 type window struct{ r0, r1, c0, c1 int }
 
-// window returns the cells a query for radius metres around p visits:
-// the cell of p widened by enough cells to cover the radius plus one,
-// clipped to the grid. ok is false when that leaves nothing to visit.
-func (ix *Index) window(p geo.Point, radius float64) (w window, colSpanDeg float64, ok bool) {
+// window returns the cells a query for radius metres around p visits
+// when it cannot use the box: the cell of p widened by enough cells to
+// cover the radius plus one, clipped to the grid. ok is false when that
+// leaves nothing to visit.
+func (ix *Index) window(p geo.Point, radius float64) (window, bool) {
 	if len(ix.items) == 0 || !(radius >= 0) || !finite(p) {
-		return window{}, 0, false
+		return window{}, false
 	}
 	degRadius := radius / geo.EarthRadiusMeters * 180 / math.Pi
 	// Longitude degrees shrink with latitude; widen the column span.
@@ -161,8 +171,7 @@ func (ix *Index) window(p geo.Point, radius float64) (w window, colSpanDeg float
 	colSpan := math.Ceil(degRadius/(ix.cellDeg*cosLat)) + 1
 	row := math.Floor(p.Lat/ix.cellDeg) - ix.rowOrigin
 	col := math.Floor(p.Lng/ix.cellDeg) - ix.colOrigin
-	w, ok = ix.clip(row-rowSpan, row+rowSpan, col-colSpan, col+colSpan)
-	return w, (colSpan + 1) * ix.cellDeg, ok
+	return ix.clip(row-rowSpan, row+rowSpan, col-colSpan, col+colSpan)
 }
 
 // clip converts a range of grid coordinates to a window inside the grid.
@@ -175,54 +184,68 @@ func (ix *Index) clip(r0, r1, c0, c1 float64) (window, bool) {
 	return window{int(r0), int(r1), int(c0), int(c1)}, true
 }
 
-// Slack on the prefilter bounds: a relative margin far above the few
-// ulps by which the haversine's rounding can move a distance, and an
-// absolute one (about a tenth of a millimetre) for radii near zero.
+// Slack on the box: a relative margin far above the few ulps by which
+// the haversine's rounding can move a distance, and an absolute one
+// (about a tenth of a millimetre) for radii near zero.
 const (
 	slackRel = 1e-9
 	slackDeg = 1e-9
 )
 
-// prefilterBox returns the half-widths, in degrees, of a latitude and a
-// longitude band around p outside which every item is provably farther
-// than radius from p, so its haversine need not be computed. A
-// half-width of +Inf filters nothing. With θ = radius/R:
+// The box's range. An index takes the box when every item lies within
+// maxBoxLat degrees of the equator and the valid longitude range, and
+// its cells are between minBoxCellDeg and maxBoxCellDeg degrees wide;
+// a query takes it when its radius is at most maxBoxRadius metres and
+// it lies in the valid range. Any other query walks its window
+// unfiltered.
+const (
+	maxBoxLat     = 80
+	maxBoxRadius  = 10_000
+	minBoxCellDeg = 2e-5
+	maxBoxCellDeg = 1
+)
+
+// boxFactors returns the half-widths, in degrees per metre of radius, of
+// a latitude and a longitude band around any query point, outside which
+// every item of an index whose items lie within maxAbsLat ≤ maxBoxLat
+// degrees of the equator is provably farther than the radius, for any
+// radius up to maxBoxRadius. So a query's box costs two products, with
+// no trigonometry. With θ = radius/R:
 //
 //   - latitude: d ≥ R·|Δφ|, because a meridian is the shortest path
-//     between two parallels;
+//     between two parallels, so a hit has |Δφ| ≤ θ.
 //   - longitude: the haversine h = sin²(Δφ/2) + cos φ₁·cos φ₂·sin²(Δλ/2)
-//     is at least cos φ₁·cos(|φ₁|+θ)·sin²(Δλ/2) for any item inside the
-//     latitude band, and an item within radius has h ≤ sin²(θ/2). So
-//     sin²(Δλ/2) > sin²(θ/2) / (cos φ₁·cos(|φ₁|+θ)) puts it beyond
-//     radius. The bound holds only while |φ₁|+θ < 90° and every item of
-//     the window lies less than 180° of longitude from p (where
-//     sin²(Δλ/2) grows with |Δλ|); otherwise the band is +Inf.
+//     of a hit is at most sin²(θ/2). Let c be cos(maxAbsLat), less a
+//     margin. An item has cos φ₂ ≥ c, and the query of a hit lies within
+//     θ of the item's latitude, so cos φ₁ ≥ cos(|φ₂| + θ) ≥ c − θ (cos is
+//     1-Lipschitz). So sin²(Δλ/2) ≤ sin²(θ/2)/(c·(c − θ)), and with
+//     sin x ≤ x, sin(|Δλ|/2) ≤ q = (θ/2)·G with G = 1/√(c·(c − θ)).
+//     As asin y ≤ y/√(1−y²), |Δλ| ≤ 2·asin(q) ≤ θ·G/√(1−q²). G and q
+//     grow with θ, so G and q taken at maxBoxRadius give one factor F
+//     with |Δλ| ≤ θ·F for every radius up to it.
 //
-// Both bands carry slackRel and slackDeg, so the skip is conservative
-// against the rounding of geo.Distance: the hits are exactly the items
-// whose geo.Distance is at most radius.
-func (ix *Index) prefilterBox(p geo.Point, radius, colSpanDeg float64) (latHalf, lngHalf float64) {
-	latHalf, lngHalf = math.Inf(1), math.Inf(1)
-	if !ix.prefilter || math.Abs(p.Lat) > 90 || math.Abs(p.Lng) > 180 {
-		return latHalf, lngHalf
-	}
-	theta := radius / geo.EarthRadiusMeters
-	latHalf = theta*180/math.Pi*(1+slackRel) + slackDeg
-	if colSpanDeg >= 180 {
-		return latHalf, lngHalf
-	}
-	phi1 := p.Lat * math.Pi / 180
-	phiMax := math.Abs(phi1) + latHalf*math.Pi/180*(1+slackRel)
-	if phiMax >= math.Pi/2 {
-		return latHalf, lngHalf
-	}
-	s := math.Sin(theta / 2)
-	k := s * s / (math.Cos(phi1) * math.Cos(phiMax)) * (1 + slackRel)
-	if !(k < 1) {
-		return latHalf, lngHalf
-	}
-	lngHalf = 2*math.Asin(math.Sqrt(k))*180/math.Pi*(1+slackRel) + slackDeg
-	return latHalf, lngHalf
+// The inversion holds for |Δλ| ≤ 180°: with cells at most a degree
+// wide, no item of a window around a query that has a hit lies farther
+// from it in longitude. Both bands carry slackRel, and the query adds
+// slackDeg, so the skip is conservative against the rounding of
+// geo.Distance: the hits are exactly the items whose geo.Distance is at
+// most radius.
+//
+// The bands contain every hit, and so does the window a query walks
+// without them, the cell of p widened by the radius over cos φ₁ plus
+// one cell: a spherical cap of radius θ reaches asin(sin θ/cos φ₁) of
+// longitude from its centre, which exceeds θ/cos φ₁ by about
+// (θ/cos φ₁)³/6, under 8e-6° here and so less than the extra cell of at
+// least minBoxCellDeg. So a query that walks the box instead of that
+// window meets the same hits in the same row-major order.
+func boxFactors(maxAbsLat float64) (latPerMetre, lngPerMetre float64) {
+	theta := maxBoxRadius / geo.EarthRadiusMeters * (1 + slackRel)
+	c := math.Cos(maxAbsLat*math.Pi/180) - slackRel
+	g := math.Sqrt((1 + 2*slackRel) / (c * (c - theta)))
+	q := theta / 2 * g
+	f := g / math.Sqrt(1-q*q) * (1 + slackRel)
+	perMetre := 180 / math.Pi / geo.EarthRadiusMeters
+	return perMetre * (1 + slackRel), perMetre * f
 }
 
 // ByDistance orders hits by ascending distance: AppendWithin sorts its
@@ -241,7 +264,7 @@ func ByDistance(a, b Result) int { return cmp.Compare(a.Distance, b.Distance) }
 // order are those of a plain walk over the window's cells in row-major
 // order, items in insertion order, measuring each with geo.Distance. A
 // prefilter skips the haversine only for items that provably lie beyond
-// radius (see prefilterBox). With a reused dst, a query allocates
+// radius (see boxFactors). With a reused dst, a query allocates
 // nothing.
 func (ix *Index) AppendWithin(dst []Result, p geo.Point, radius float64) []Result {
 	w, latHalf, lngHalf, ok := ix.band(p, radius)
@@ -265,8 +288,8 @@ func (ix *Index) AppendWithin(dst []Result, p geo.Point, radius float64) []Resul
 }
 
 // AppendBand appends to dst, unmeasured and in walk order, every item
-// that AppendWithin(p, radius) measures: the items inside its prefilter
-// band, a superset of its hits that holds every hit. Filtering the
+// that AppendWithin(p, radius) measures: the items inside its box, a
+// superset of its hits that holds every hit. Filtering the
 // result by geo.Distance(p, it.Point) <= radius yields exactly
 // AppendWithin's hits, with the same Distance bits, in the order of its
 // walk before the sort. A caller that needs only some of the hits
@@ -289,36 +312,26 @@ func (ix *Index) AppendBand(dst []Item, p geo.Point, radius float64) []Item {
 }
 
 // band returns the cells a query for radius metres around p walks and
-// the half-widths of its prefilter band (see prefilterBox): an item of
-// those cells that lies outside the band is provably farther than
-// radius. ok is false when no item can be a hit.
+// the half-widths of its box (see boxFactors): an item of those cells
+// that lies outside the box is provably farther than radius. A query the
+// box does not serve walks its whole window, with half-widths of +Inf.
+// ok is false when no item can be a hit.
 func (ix *Index) band(p geo.Point, radius float64) (w window, latHalf, lngHalf float64, ok bool) {
-	w, colSpanDeg, ok := ix.window(p, radius)
-	if !ok {
-		return window{}, 0, 0, false
+	if !ix.box || !(radius >= 0 && radius <= maxBoxRadius) || !(math.Abs(p.Lat) <= 90 && math.Abs(p.Lng) <= 180) {
+		w, ok = ix.window(p, radius)
+		return w, math.Inf(1), math.Inf(1), ok
 	}
-	latHalf, lngHalf = ix.prefilterBox(p, radius, colSpanDeg)
-	// Rows and columns wholly outside the bands hold no hit. The extra
-	// slackDeg keeps every item that passes the per-item test inside
-	// the narrowed window despite rounding in the band edges.
-	w, ok = ix.narrow(w, p, latHalf+slackDeg, lngHalf+slackDeg)
+	latHalf = radius*ix.latPerMetre + slackDeg
+	lngHalf = radius*ix.lngPerMetre + slackDeg
+	// Walk the rows and columns the box overlaps. The extra slackDeg
+	// keeps every item that passes the per-item test inside them despite
+	// rounding in the box's edges and in the product by invCell, which
+	// differs from the quotient cell uses by an ulp or two.
+	lat, lng := latHalf+slackDeg, lngHalf+slackDeg
+	w, ok = ix.clip(
+		math.Floor((p.Lat-lat)*ix.invCell)-ix.rowOrigin, math.Floor((p.Lat+lat)*ix.invCell)-ix.rowOrigin,
+		math.Floor((p.Lng-lng)*ix.invCell)-ix.colOrigin, math.Floor((p.Lng+lng)*ix.invCell)-ix.colOrigin)
 	return w, latHalf, lngHalf, ok
-}
-
-// narrow intersects w with the cells that overlap the latHalf × lngHalf
-// band around p.
-func (ix *Index) narrow(w window, p geo.Point, latHalf, lngHalf float64) (window, bool) {
-	r0, r1 := float64(w.r0), float64(w.r1)
-	c0, c1 := float64(w.c0), float64(w.c1)
-	if !math.IsInf(latHalf, 1) {
-		r0 = max(r0, math.Floor((p.Lat-latHalf)/ix.cellDeg)-ix.rowOrigin)
-		r1 = min(r1, math.Floor((p.Lat+latHalf)/ix.cellDeg)-ix.rowOrigin)
-	}
-	if !math.IsInf(lngHalf, 1) {
-		c0 = max(c0, math.Floor((p.Lng-lngHalf)/ix.cellDeg)-ix.colOrigin)
-		c1 = min(c1, math.Floor((p.Lng+lngHalf)/ix.cellDeg)-ix.colOrigin)
-	}
-	return ix.clip(r0, r1, c0, c1)
 }
 
 // Nearest returns the closest item to p within maxRadius metres and true,
@@ -354,7 +367,7 @@ func (ix *Index) Nearest(p geo.Point, maxRadius float64) (Result, bool) {
 // closest replaces *best with every item of the window around p for
 // radius that is strictly nearer, and reports whether it replaced any.
 func (ix *Index) closest(p geo.Point, radius float64, best *Result) bool {
-	w, _, ok := ix.window(p, radius)
+	w, ok := ix.window(p, radius)
 	if !ok {
 		return false
 	}

@@ -286,16 +286,24 @@ func TestAppendWithinMatchesReference(t *testing.T) {
 }
 
 // TestPrefilterKeepsBoundaryItems puts items a hair inside and outside
-// the radius on every side of the query, where the prefilter's bands
-// are tightest: due north and south for the latitude band, due east and
-// west near the equator for the longitude band. A band even a millionth
-// too narrow drops one of the inside items.
+// the radius on every side of the query, where the box is tightest: due
+// north and south for the latitude band, and for the longitude band the
+// two bearings at which the circle reaches farthest east and west,
+// acos(tan θ·tan φ) from north, where it bulges beyond θ/cos φ. A band
+// even a millionth too narrow drops one of the inside items, and at
+// 10 km and 70° a band of θ/cos φ misses the bulge by a thousand times
+// its slack.
 func TestPrefilterKeepsBoundaryItems(t *testing.T) {
 	for _, lat := range []float64{0, 0.3, -12, 45, 70, -85} {
 		c := geo.Point{Lat: lat, Lng: 116.4}
-		for _, radius := range []float64{0.5, 150, 2000} {
+		for _, radius := range []float64{0.5, 150, 2000, 10_000} {
+			theta := radius / geo.EarthRadiusMeters
+			widest := math.Acos(math.Tan(theta)*math.Tan(math.Abs(lat)*math.Pi/180)) * 180 / math.Pi
+			if lat < 0 {
+				widest = 180 - widest
+			}
 			var items []Item
-			for b := 0.0; b < 360; b += 15 {
+			for _, b := range append(bearingsEvery(15), widest, 360-widest) {
 				for _, f := range []float64{1 - 1e-12, 1 - 1e-14, 1, 1 + 1e-14, 1 + 1e-12} {
 					items = append(items, Item{ID: len(items), Point: geo.Destination(c, b, radius*f)})
 				}
@@ -307,6 +315,179 @@ func TestPrefilterKeepsBoundaryItems(t *testing.T) {
 				t.Fatalf("lat %v radius %v: %d of %d boundary items inside, want some on each side", lat, radius, len(want), len(items))
 			}
 			requireSameHits(t, "boundary", nil, ix.AppendWithin(nil, c, radius), want)
+		}
+	}
+}
+
+func bearingsEvery(step float64) []float64 {
+	var out []float64
+	for b := 0.0; b < 360; b += step {
+		out = append(out, b)
+	}
+	return out
+}
+
+// prefilterBox is the per-query prefilter that boxFactors' per-index
+// factors replaced, kept as the oracle that TestBoxBand measures the
+// box against. It returns the half-widths, in degrees, of a latitude
+// and a longitude band around p outside which every item is provably
+// farther than radius; +Inf filters nothing. With θ = radius/R, the
+// latitude band is θ (d ≥ R·|Δφ|), and the longitude band inverts
+// sin²(Δλ/2) > sin²(θ/2)/(cos φ₁·cos(|φ₁|+θ)) with a sine, two cosines,
+// a square root and an arcsine. It holds only while |φ₁|+θ < 90° and
+// every item of the window, which spans colSpanDeg of longitude each
+// side, lies less than 180° of longitude from p.
+func prefilterBox(ix *Index, p geo.Point, radius float64) (latHalf, lngHalf float64) {
+	latHalf, lngHalf = math.Inf(1), math.Inf(1)
+	for _, it := range ix.items {
+		if math.Abs(it.Point.Lat) > 90 || math.Abs(it.Point.Lng) > 180 {
+			return latHalf, lngHalf
+		}
+	}
+	if math.Abs(p.Lat) > 90 || math.Abs(p.Lng) > 180 {
+		return latHalf, lngHalf
+	}
+	theta := radius / geo.EarthRadiusMeters
+	latHalf = theta*180/math.Pi*(1+slackRel) + slackDeg
+	cosLat := max(math.Cos(p.Lat*math.Pi/180), 0.01)
+	colSpanDeg := (math.Ceil(radius/geo.EarthRadiusMeters*180/math.Pi/(ix.cellDeg*cosLat)) + 2) * ix.cellDeg
+	if colSpanDeg >= 180 {
+		return latHalf, lngHalf
+	}
+	phi1 := p.Lat * math.Pi / 180
+	phiMax := math.Abs(phi1) + latHalf*math.Pi/180*(1+slackRel)
+	if phiMax >= math.Pi/2 {
+		return latHalf, lngHalf
+	}
+	s := math.Sin(theta / 2)
+	k := s * s / (math.Cos(phi1) * math.Cos(phiMax)) * (1 + slackRel)
+	if !(k < 1) {
+		return latHalf, lngHalf
+	}
+	lngHalf = 2*math.Asin(math.Sqrt(k))*180/math.Pi*(1+slackRel) + slackDeg
+	return latHalf, lngHalf
+}
+
+// prefilterBand returns the items the band walk listed before the box:
+// the window around p, narrowed to the rows and columns that overlap
+// prefilterBox's bands, and within them the items inside the bands.
+func prefilterBand(ix *Index, p geo.Point, radius float64) []Item {
+	w, ok := ix.window(p, radius)
+	if !ok {
+		return nil
+	}
+	latHalf, lngHalf := prefilterBox(ix, p, radius)
+	r0, r1, c0, c1 := float64(w.r0), float64(w.r1), float64(w.c0), float64(w.c1)
+	if !math.IsInf(latHalf, 1) {
+		r0 = max(r0, math.Floor((p.Lat-latHalf-slackDeg)/ix.cellDeg)-ix.rowOrigin)
+		r1 = min(r1, math.Floor((p.Lat+latHalf+slackDeg)/ix.cellDeg)-ix.rowOrigin)
+	}
+	if !math.IsInf(lngHalf, 1) {
+		c0 = max(c0, math.Floor((p.Lng-lngHalf-slackDeg)/ix.cellDeg)-ix.colOrigin)
+		c1 = min(c1, math.Floor((p.Lng+lngHalf+slackDeg)/ix.cellDeg)-ix.colOrigin)
+	}
+	if w, ok = ix.clip(r0, r1, c0, c1); !ok {
+		return nil
+	}
+	var out []Item
+	for row := w.r0; row <= w.r1; row++ {
+		k := row * ix.cols
+		for _, it := range ix.items[ix.offsets[k+w.c0]:ix.offsets[k+w.c1+1]] {
+			if math.Abs(it.Point.Lat-p.Lat) <= latHalf && math.Abs(it.Point.Lng-p.Lng) <= lngHalf {
+				out = append(out, it)
+			}
+		}
+	}
+	return out
+}
+
+// cityIndexes returns two city-scale indexes around origin like the
+// pipeline's: 3,000 landmark-like points over 8 km in 300 m cells, and
+// 20,000 edge samples over 8 km in 120 m cells.
+func cityIndexes() (landmarks, edges *Index) {
+	rng := rand.New(rand.NewSource(17))
+	scatter := func(n int) []Item {
+		items := make([]Item, n)
+		for i := range items {
+			items[i] = Item{ID: i, Point: geo.Destination(origin, rng.Float64()*360, 8000*math.Sqrt(rng.Float64()))}
+		}
+		return items
+	}
+	return NewIndex(300, scatter(3000)), NewIndex(120, scatter(20000))
+}
+
+// TestBoxBand checks that city-scale indexes take the box and that the
+// band they walk holds at most 1% more items than the per-query
+// prefilterBox bands did, for radii from 1 m to 10 km; the few extra
+// items are the price of one cosine per index instead of one per query.
+func TestBoxBand(t *testing.T) {
+	rng := rand.New(rand.NewSource(19))
+	landmarks, edges := cityIndexes()
+	for name, ix := range map[string]*Index{"landmarks": landmarks, "edges": edges} {
+		if !ix.box {
+			t.Fatalf("%s: a city-scale index does not take the box", name)
+		}
+		for _, radius := range []float64{1, 3, 10, 30, 100, 200, 300, 1000, 3000, 10_000} {
+			var band []Item
+			box, prefiltered := 0, 0
+			for q := 0; q < 200; q++ {
+				p := geo.Destination(origin, rng.Float64()*360, 6000*rng.Float64())
+				band = ix.AppendBand(band[:0], p, radius)
+				box += len(band)
+				prefiltered += len(prefilterBand(ix, p, radius))
+			}
+			t.Logf("%s, radius %v m: %d items in the box, %d in prefilterBox's bands", name, radius, box, prefiltered)
+			if box < prefiltered || float64(box) > 1.01*float64(prefiltered) {
+				t.Errorf("%s, radius %v m: the box walks %d items where prefilterBox walked %d", name, radius, box, prefiltered)
+			}
+		}
+	}
+}
+
+// TestBoxRange pins where the box applies: items within ±80° of latitude
+// and the valid longitude range, cells from 2e-5° to 1° wide, radii up
+// to 10 km and queries in the valid range. Outside it the query walks
+// its window unfiltered, with half-widths of +Inf.
+func TestBoxRange(t *testing.T) {
+	at := func(lat, lng float64) []Item {
+		return []Item{{ID: 0, Point: geo.Point{Lat: lat, Lng: lng}}, {ID: 1, Point: geo.Point{Lat: lat - 0.01, Lng: lng}}}
+	}
+	for _, tc := range []struct {
+		name       string
+		cellMeters float64
+		items      []Item
+		box        bool
+	}{
+		{"city", 300, at(39.9, 116.4), true},
+		{"at 80°", 300, at(80, 116.4), true},
+		{"at -80°", 300, at(-79.99, 116.4), true},
+		{"beyond 80°", 300, at(80.0001, 116.4), false},
+		{"beyond -80°", 300, at(-80.0001, 116.4), false},
+		{"off the longitude range", 300, at(39.9, 180.5), false},
+		{"2 m cells", 2, at(39.9, 116.4), false},
+		{"3 m cells", 3, at(39.9, 116.4), true},
+		{"1° cells", 111_000, at(39.9, 116.4), true},
+		{"2° cells", 222_000, at(39.9, 116.4), false},
+	} {
+		if ix := NewIndex(tc.cellMeters, tc.items); ix.box != tc.box {
+			t.Errorf("%s: box = %v, want %v", tc.name, ix.box, tc.box)
+		}
+	}
+	ix := NewIndex(300, at(39.9, 116.4))
+	for _, tc := range []struct {
+		p      geo.Point
+		radius float64
+		box    bool
+	}{
+		{origin, 10_000, true},
+		{origin, 0, true},
+		{origin, 10_000.001, false},
+		{geo.Point{Lat: 90.5, Lng: 116.4}, 100, false},
+		{geo.Point{Lat: 39.9, Lng: 181}, 100, false},
+	} {
+		_, latHalf, lngHalf, _ := ix.band(tc.p, tc.radius)
+		if box := !math.IsInf(latHalf, 1) && !math.IsInf(lngHalf, 1); box != tc.box {
+			t.Errorf("query %v, radius %v: box = %v, want %v", tc.p, tc.radius, box, tc.box)
 		}
 	}
 }
@@ -387,5 +568,42 @@ func FuzzWithinEquivalence(f *testing.F) {
 		rng := rand.New(rand.NewSource(seed))
 		items := randomItems(rng, c, int(n)+1, 50+rng.Float64()*3000)
 		checkAgainstReference(t, rng, NewIndex(cellMeters, items), items, c, radius)
+	})
+}
+
+// BenchmarkAppendWithin queries city-scale landmark and edge indexes
+// (cityIndexes) at 100 and 200 m, as calibration and matching do, from
+// 1,024 points within 6 km of the centre.
+func BenchmarkAppendWithin(b *testing.B) {
+	rng := rand.New(rand.NewSource(23))
+	pts := make([]geo.Point, 1024)
+	for i := range pts {
+		pts[i] = geo.Destination(origin, rng.Float64()*360, 6000*rng.Float64())
+	}
+	landmarks, edges := cityIndexes()
+	for _, bc := range []struct {
+		name   string
+		ix     *Index
+		radius float64
+	}{
+		{"landmarks/100m", landmarks, 100},
+		{"landmarks/200m", landmarks, 200},
+		{"edges/100m", edges, 100},
+		{"edges/200m", edges, 200},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var hits []Result
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				hits = bc.ix.AppendWithin(hits[:0], pts[i%len(pts)], bc.radius)
+			}
+		})
+	}
+	b.Run("edges/band/180m", func(b *testing.B) {
+		var band []Item
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			band = edges.AppendBand(band[:0], pts[i%len(pts)], 180)
+		}
 	})
 }

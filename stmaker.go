@@ -158,7 +158,9 @@ type Config struct {
 	// timestamps re-sorted and deduplicated, teleport outliers and
 	// parked-antenna jitter removed (see internal/sanitize). Nil keeps
 	// the library's historical strict behaviour; cmd/stmakerd enables it
-	// by default. &sanitize.Options{} applies the default thresholds.
+	// by default. &sanitize.Options{} turns it on; its thresholds are
+	// the package's constants (sanitize.MaxSpeedKmh and
+	// sanitize.JitterEpsilonMeters).
 	Sanitize *sanitize.Options
 	// Metrics receives the per-stage latency histograms and pipeline
 	// counters (see the Metric* constants); nil gives the Summarizer a
